@@ -37,7 +37,6 @@ from .newton import (
     is_k_simplex,
     newton_polytope,
     render_svg,
-    support,
     verify_theorem,
 )
 from .mvgroup import (
@@ -98,7 +97,6 @@ __all__ = [
     "roots_match_pn",
     "scan_even_nonzero",
     "scan_prime_power",
-    "support",
     "verify_proposition",
     "verify_theorem",
 ]

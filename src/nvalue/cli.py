@@ -7,7 +7,7 @@ Subcommands:
     axioms  seeded numeric sweeps of the group axioms
 
 Exit codes: 0 all checks pass, 1 a check failed (potential
-counterexample), 2 usage error.  NVALUE_THREADS caps scan parallelism.
+counterexample), 2 usage error.
 Data goes to stdout (or --output), diagnostics to stderr.
 """
 
@@ -16,10 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import conjectures, construct, mvgroup, newton, symdecomp
 
@@ -34,15 +32,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _scan_workers(count: int) -> int:
-    env = os.environ.get("NVALUE_THREADS", "")
+def _positive_float(text: str) -> float:
     try:
-        cap = int(env)
+        value = float(text)
     except ValueError:
-        cap = 0
-    if cap < 1:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, count))
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -54,28 +51,6 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 # -- pn ------------------------------------------------------------------------
-
-def _ebasis_text(g: symdecomp.EBasisPolynomial) -> str:
-    """Table-style rendering with factored coefficients: 'e1^6 - 2^2·3 e1^4 e2 ...'."""
-    if not g.coeffs:
-        return "0"
-    parts = []
-    for (k1, k2, k3), a in g.table_order_items():
-        mono = " ".join(
-            n if p == 1 else f"{n}^{p}"
-            for n, p in (("e1", k1 - k2), ("e2", k2 - k3), ("e3", k3)) if p)
-        mag = conjectures.format_factored(abs(a))
-        if mono:
-            body = mono if mag == "1" else f"{mag} {mono}"
-        else:
-            body = mag
-        parts.append(("-" if a < 0 else "+", body))
-    sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
-
 
 def cmd_pn(args) -> int:
     p = construct.build_pn(args.n)
@@ -89,7 +64,7 @@ def cmd_pn(args) -> int:
         if args.format == "json":
             text = json.dumps(g.to_json()) + "\n"
         else:
-            text = _ebasis_text(g) + "\n"
+            text = g.text(conjectures.format_factored) + "\n"
     _emit(text, args.output)
     return 0
 
@@ -153,8 +128,7 @@ def _report_text(report: conjectures.ScanReport) -> str:
 def cmd_scan(args) -> int:
     ns = _eligible(args.kind, args.max_n)
     fn = _SCAN_FN[args.kind]
-    with ThreadPoolExecutor(max_workers=_scan_workers(len(ns) or 1)) as pool:
-        reports = list(pool.map(fn, ns))
+    reports = [fn(n) for n in ns]
     if args.format == "json":
         text = json.dumps([r.to_json() for r in reports]) + "\n"
     else:
@@ -234,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ax = sub.add_parser("axioms", help="numeric group-axiom sweeps")
     p_ax.add_argument("--n", type=_positive_int, required=True)
     p_ax.add_argument("--samples", type=_positive_int, default=100)
-    p_ax.add_argument("--tol", type=float, default=1e-7)
+    p_ax.add_argument("--tol", type=_positive_float, default=1e-7)
     p_ax.add_argument("--seed", type=int, default=0)
     p_ax.add_argument("--format", choices=("text", "json"), default="text")
     p_ax.add_argument("--output", "-o", default=None)

@@ -91,16 +91,17 @@ def factorize(m: int) -> list[tuple[int, int]]:
     return out
 
 
+def _signed_product(a: int, primes) -> str:
+    # an empty prime list is the product 1
+    body = "·".join(f"{p}^{e}" if e > 1 else str(p) for p, e in primes) or "1"
+    return ("-" if a < 0 else "") + body
+
+
 def format_factored(a: int) -> str:
     """Signed prime-power rendering, e.g. -12312 -> '-2^3·3^4·19'."""
     if a == 0:
         return "0"
-    sign = "-" if a < 0 else ""
-    m = abs(a)
-    if m == 1:
-        return sign + "1"
-    parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in factorize(m)]
-    return sign + "·".join(parts)
+    return _signed_product(a, factorize(abs(a)))
 
 
 def scan_prime_power(n: int) -> ScanReport:
@@ -163,8 +164,9 @@ def factor_report(n: int) -> ScanReport:
         if a == 0:
             checks.append(CheckEntry(part, 0, "info", "absent"))
             continue
-        detail = format_factored(a)
-        shared = sorted(n_primes & {p for p, _ in factorize(abs(a))})
+        primes = factorize(abs(a))
+        detail = _signed_product(a, primes)
+        shared = sorted(n_primes & {p for p, _ in primes})
         if shared:
             detail += f" (shares {', '.join(map(str, shared))} with n)"
         checks.append(CheckEntry(part, a, "info", detail))

@@ -1,9 +1,10 @@
-"""Newton polytopes of polynomial supports, with exact integer hulls.
+"""Newton polytopes of homogeneous 3-variable polynomials, with exact hulls.
 
-The polytope of a homogeneous 3-variable polynomial lives in the plane
+The support of a homogeneous 3-variable polynomial lies in the plane
 where the coordinates sum to the degree, so its hull is computed on the
-(first, second)-exponent projection and lifted back.  Orientation tests
-are integer cross products throughout; no floating point.
+(first, second)-exponent projection and lifted back.  Only such inputs
+are handled.  Orientation tests are integer cross products throughout;
+no floating point.
 """
 
 from __future__ import annotations
@@ -29,22 +30,16 @@ class HypothesisNotMet(ValueError):
 class NewtonPolytope:
     """Extreme lattice vertices of a support hull.
 
-    ``vertices`` are counterclockwise for 2-D (projected) hulls; for
-    homogeneous 3-variable inputs they are the lifted triples whose
-    coordinates sum to ``degree``.
+    ``vertices`` are the lifted triples whose coordinates sum to
+    ``degree``, counterclockwise in the (first, second) projection.
     """
 
     dim: int
-    degree: int | None
+    degree: int
     vertices: tuple[tuple[int, ...], ...]
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "vertices": [list(v) for v in self.vertices]}
-
-
-def support(f: Polynomial) -> set[tuple[int, ...]]:
-    """Exponent vectors of the nonzero terms."""
-    return f.support()
 
 
 def _cross(o, a, b) -> int:
@@ -76,27 +71,21 @@ def convex_hull_2d(points) -> list[tuple[int, int]]:
     return lower[:-1] + upper[:-1]
 
 
-def newton_polytope(f: Polynomial) -> NewtonPolytope:
-    """Convex hull of the support of f as a NewtonPolytope."""
+def _projected_support(f: Polynomial) -> tuple[int, list[tuple[int, int]]]:
+    """Degree of f and its sorted (first, second)-exponent projection."""
     if not f:
         raise ZeroPolynomial("zero polynomial")
-    nvars = len(f.vars)
     degree = f.homogeneous_degree()
-    if nvars == 3:
-        if degree is None:
-            raise ValueError(
-                "3-variable polytopes are only supported for homogeneous input")
-        hull = convex_hull_2d((e[0], e[1]) for e in f.support())
-        verts = tuple((i, j, degree - i - j) for i, j in hull)
-        return NewtonPolytope(3, degree, verts)
-    if nvars == 2:
-        hull = convex_hull_2d(f.support())
-        return NewtonPolytope(2, degree, tuple(hull))
-    if nvars == 1:
-        exps = sorted(e[0] for e in f.support())
-        verts = ((exps[0],),) if exps[0] == exps[-1] else ((exps[0],), (exps[-1],))
-        return NewtonPolytope(1, degree, verts)
-    raise ValueError(f"unsupported variable count {nvars}")
+    if len(f.vars) != 3 or degree is None:
+        raise ValueError("need a homogeneous polynomial in 3 variables")
+    return degree, sorted({(e[0], e[1]) for e in f.support()})
+
+
+def newton_polytope(f: Polynomial) -> NewtonPolytope:
+    """Convex hull of the support of f as a NewtonPolytope."""
+    degree, pts = _projected_support(f)
+    verts = tuple((i, j, degree - i - j) for i, j in convex_hull_2d(pts))
+    return NewtonPolytope(3, degree, verts)
 
 
 def is_k_simplex(p: NewtonPolytope, k: int, n: int) -> bool:
@@ -154,17 +143,7 @@ def render_svg(f: Polynomial) -> str:
     Unit grid in light gray, support points as filled circles, hull as a
     closed path.  Output is byte-stable for golden-file comparison.
     """
-    if not f:
-        raise ZeroPolynomial("zero polynomial")
-    nvars = len(f.vars)
-    if nvars == 3:
-        if f.homogeneous_degree() is None:
-            raise ValueError("3-variable rendering requires homogeneous input")
-        pts = sorted({(e[0], e[1]) for e in f.support()})
-    elif nvars == 2:
-        pts = sorted(f.support())
-    else:
-        raise ValueError("SVG rendering needs 2 or 3 variables")
+    _, pts = _projected_support(f)
     hull = convex_hull_2d(pts)
     extent = max(max(max(p) for p in pts), 1)
     size = 2 * _SVG_MARGIN + extent * _SVG_SCALE
@@ -204,6 +183,5 @@ __all__ = [
     "is_k_simplex",
     "newton_polytope",
     "render_svg",
-    "support",
     "verify_theorem",
 ]

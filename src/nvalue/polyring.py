@@ -40,6 +40,31 @@ def _to_complex(c) -> complex:
         return complex(math.inf if c > 0 else -math.inf)
 
 
+def format_terms(names, terms, sep: str = "*", fmt=str) -> str:
+    """Render (powers, coefficient) pairs as a signed sum: 'x^2 - 2*x*y + 3'.
+
+    A term is its magnitude, rendered by ``fmt`` and left out when it is 1,
+    followed by the names with nonzero powers, all joined by ``sep``.  The
+    sign of each coefficient becomes the operator in front of its term.
+    """
+    parts = []
+    for powers, c in terms:
+        a = abs(c)
+        mono = sep.join(n if k == 1 else f"{n}^{k}" for n, k in zip(names, powers) if k)
+        if not mono:
+            body = fmt(a)
+        elif a == 1:
+            body = mono
+        else:
+            body = f"{fmt(a)}{sep}{mono}"
+        if parts:
+            parts.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            parts.append("-")
+        parts.append(body)
+    return "".join(parts) or "0"
+
+
 class Polynomial:
     """Immutable sparse polynomial over named variables.
 
@@ -357,23 +382,7 @@ class Polynomial:
     # -- printing --------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                f"{v}^{k}" if k > 1 else v for v, k in zip(self.vars, e) if k)
-            a = abs(c)
-            if mono:
-                body = mono if a == 1 else f"{a}*{mono}"
-            else:
-                body = str(a)
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return format_terms(self.vars, self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"Polynomial[{', '.join(self.vars)}]({self})"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .construct import build_pn
-from .polyring import Polynomial
+from .polyring import Polynomial, format_terms
 
 
 class NotSymmetric(ValueError):
@@ -119,33 +119,14 @@ class EBasisPolynomial:
         coeffs = {tuple(t["k"]): int(t["A"]) for t in data["terms"]}
         return cls(int(data["n"]), coeffs)
 
+    def text(self, fmt=str) -> str:
+        """Table-style rendering, e.g. 'e1^2 - 4 e2'; ``fmt`` renders each |A|."""
+        terms = (((k1 - k2, k2 - k3, k3), a)
+                 for (k1, k2, k3), a in self.table_order_items())
+        return format_terms(("e1", "e2", "e3"), terms, " ", fmt)
+
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (k1, k2, k3), a in self.table_order_items():
-            mono = _e_monomial_str(k1 - k2, k2 - k3, k3)
-            mag = abs(a)
-            if mono:
-                body = mono if mag == 1 else f"{mag} {mono}"
-            else:
-                body = str(mag)
-            parts.append(("-" if a < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
-
-
-def _e_monomial_str(p1: int, p2: int, p3: int) -> str:
-    out = []
-    for name, p in (("e1", p1), ("e2", p2), ("e3", p3)):
-        if p == 1:
-            out.append(name)
-        elif p > 1:
-            out.append(f"{name}^{p}")
-    return " ".join(out)
+        return self.text()
 
 
 def _check_partition(key, n: int) -> None:

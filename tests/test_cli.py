@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -93,12 +92,6 @@ class TestScanCommand:
         assert [r["n"] for r in reports] == [2, 4, 6]
         assert all(r["overall"] == "pass" for r in reports)
 
-    def test_thread_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("NVALUE_THREADS", "1")
-        code, out = run_cli(capsys, "scan", "--kind", "factors", "--max-n", "7")
-        assert code == 0
-        assert out == (GOLDEN / "scan_factors_7.txt").read_text()
-
     def test_max_n_below_two_is_usage_error(self, capsys):
         assert main(["scan", "--kind", "factors", "--max-n", "1"]) == 2
 
@@ -148,6 +141,15 @@ class TestUsageErrors:
             main(["scan", "--kind", "bogus", "--max-n", "5"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("tol", ("nan", "inf", "-inf", "-1", "0", "abc"))
+    def test_bad_tol(self, capsys, tol):
+        with pytest.raises(SystemExit) as err:
+            main(["axioms", "--n", "3", "--samples", "5", "--tol", tol])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert "--tol" in captured.err
+        assert captured.out == ""
+
 
 class TestOutputFile:
     def test_output_flag(self, tmp_path, capsys):
@@ -160,9 +162,8 @@ class TestOutputFile:
 
 class TestSubprocess:
     def test_module_invocation(self):
-        env = dict(os.environ, NVALUE_THREADS="2")
         proc = subprocess.run(
             [sys.executable, "-m", "nvalue.cli", "pn", "--n", "5", "--basis", "e"],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == (GOLDEN / "pn_e_5.txt").read_text()
