@@ -92,6 +92,11 @@ class TestScanCommand:
         assert [r["n"] for r in reports] == [2, 4, 6]
         assert all(r["overall"] == "pass" for r in reports)
 
+    def test_thread_cap_env(self, capsys):
+        code, out = run_cli(capsys, "scan", "--kind", "factors", "--max-n", "7")
+        assert code == 0
+        assert out == (GOLDEN / "scan_factors_7.txt").read_text()
+
     def test_max_n_below_two_is_usage_error(self, capsys):
         assert main(["scan", "--kind", "factors", "--max-n", "1"]) == 2
 
