@@ -14,6 +14,7 @@ Data goes to stdout (or --output), diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import random
@@ -42,12 +43,18 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _emit(text: str, out_path: str | None) -> None:
+@contextlib.contextmanager
+def _output(out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, out_path: str | None) -> None:
+    with _output(out_path) as fh:
+        fh.write(text)
 
 
 # -- pn ------------------------------------------------------------------------
@@ -126,15 +133,22 @@ def _report_text(report: conjectures.ScanReport) -> str:
 
 
 def cmd_scan(args) -> int:
-    ns = _eligible(args.kind, args.max_n)
+    # each report is written as soon as it is computed; JSON as one list
     fn = _SCAN_FN[args.kind]
-    reports = [fn(n) for n in ns]
-    if args.format == "json":
-        text = json.dumps([r.to_json() for r in reports]) + "\n"
-    else:
-        text = "".join(_report_text(r) for r in reports)
-    _emit(text, args.output)
-    return 1 if any(r.overall == "fail" for r in reports) else 0
+    as_json = args.format == "json"
+    failed = False
+    with _output(args.output) as out:
+        out.write("[" if as_json else "")
+        for i, n in enumerate(_eligible(args.kind, args.max_n)):
+            report = fn(n)
+            failed = failed or report.overall == "fail"
+            if as_json:
+                out.write((", " if i else "") + json.dumps(report.to_json()))
+            else:
+                out.write(_report_text(report))
+            out.flush()
+        out.write("]\n" if as_json else "")
+    return 1 if failed else 0
 
 
 # -- axioms -----------------------------------------------------------------------

@@ -15,7 +15,7 @@ provided and must agree exactly:
   for (-1)^n x, (-1)^n y.
 * ``build_pn_newton_identities`` computes the power sums of the n roots
   in closed form and converts them to elementary symmetric functions via
-  Newton's identities over exact rationals.
+  Newton's identities on integer coefficient rows, dividing exactly.
 
 Working modulo Phi_n rather than t^n - 1 is essential: modulo t^n - 1 the
 product keeps contributions from every divisor of n and is not constant
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .polyring import NonIntegralCoefficient, Polynomial
@@ -211,26 +210,40 @@ def power_sum(n: int, m: int) -> Polynomial:
 def build_pn_newton_identities(n: int) -> Polynomial:
     """p_n(z; x, y) via power sums and Newton's identities.
 
-    e_k of the n roots satisfies k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} P_i;
-    the division runs over exact rationals and the final coefficients are
-    asserted integral.  p_n = sum_k (-1)^k e_k z^(n-k).
+    Every e_k of the n roots is homogeneous of degree k in (x, y), so it is
+    kept as the k+1 integers of x^(k-i) y^i.  It satisfies
+    k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} P_i; the division by k is exact
+    and raises NonIntegralCoefficient otherwise.
+    p_n = sum_k (-1)^k e_k z^(n-k).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    psums = [None] + [power_sum(n, m) for m in range(1, n + 1)]
-    elem = [Polynomial.one(_XY)]
+    # P_m has all m+1 terms; lex-descending order lists x^(m-i) y^i by rising i
+    psums = [None] + [[c for _, c in power_sum(n, m).sorted_terms()]
+                      for m in range(1, n + 1)]
+    elem = [[1]]
     for k in range(1, n + 1):
-        acc = Polynomial.zero(_XY)
+        acc = [0] * (k + 1)
         for i in range(1, k + 1):
-            term = elem[k - i] * psums[i]
-            acc = acc + term if i % 2 else acc - term
-        elem.append(acc * Fraction(1, k))
-    z = Polynomial.variable("z", _XYZ)
-    p = Polynomial.zero(_XYZ)
-    for k in range(n + 1):
-        part = elem[k].with_vars(_XYZ) * z ** (n - k)
-        p = p + part if k % 2 == 0 else p - part
-    return p.to_integer()
+            sign = 1 if i % 2 else -1
+            for a, ca in enumerate(elem[k - i]):
+                ca *= sign
+                for b, cb in enumerate(psums[i]):
+                    acc[a + b] += ca * cb
+        row = []
+        for i, c in enumerate(acc):
+            q, r = divmod(c, k)
+            if r:
+                raise NonIntegralCoefficient(
+                    f"e_{k} coefficient {c} of x^{k - i} y^{i} is not divisible by {k}")
+            row.append(q)
+        elem.append(row)
+    terms = {}
+    for k, row in enumerate(elem):
+        for i, c in enumerate(row):
+            if c:
+                terms[(k - i, i, n - k)] = -c if k % 2 else c
+    return Polynomial._raw(_XYZ, terms)
 
 
 def build_pn(n: int) -> Polynomial:

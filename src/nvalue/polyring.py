@@ -1,10 +1,8 @@
 """Exact sparse multivariate polynomial arithmetic.
 
 Polynomials are stored as a mapping from exponent tuples to nonzero
-coefficients over a declared, ordered variable list.  Coefficients are
-Python ints (arbitrary precision) or ``fractions.Fraction`` where an
-intermediate division is unavoidable; public constructions convert back
-to integers and fail loudly if they cannot.
+integer coefficients (Python ints, arbitrary precision) over a declared,
+ordered variable list.
 
 The canonical term order is lexicographic descending on the exponent
 tuple.  It fixes serialization, printing and the leading term.
@@ -14,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from fractions import Fraction
 from operator import add as _iadd
 
 
@@ -27,7 +24,7 @@ class IndivisibleExponent(ValueError):
 
 
 class NonIntegralCoefficient(ValueError):
-    """A rational coefficient failed to clear to an integer."""
+    """An exact integer division left a remainder."""
 
 
 def _to_complex(c) -> complex:
@@ -80,7 +77,7 @@ class Polynomial:
         if len(set(vars)) != len(vars):
             raise ValueError(f"duplicate variable names in {vars}")
         nvars = len(vars)
-        clean: dict[tuple[int, ...], int | Fraction] = {}
+        clean: dict[tuple[int, ...], int] = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for exps, coeff in items:
@@ -90,7 +87,7 @@ class Polynomial:
                         f"exponent tuple {exps} does not match {nvars} variables")
                 if any(not isinstance(e, int) or e < 0 for e in exps):
                     raise ValueError(f"exponents must be non-negative ints: {exps}")
-                if not isinstance(coeff, (int, Fraction)):
+                if not isinstance(coeff, int):
                     raise TypeError(f"unsupported coefficient type {type(coeff)}")
                 c = clean.get(exps, 0) + coeff
                 if c:
@@ -157,7 +154,7 @@ class Polynomial:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = Polynomial.constant(other, self.vars)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -183,7 +180,7 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if not other:
                 return Polynomial._raw(self.vars, {})
             return Polynomial._raw(
@@ -191,7 +188,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_vars(other)
-        out: dict[tuple[int, ...], int | Fraction] = {}
+        out: dict[tuple[int, ...], int] = {}
         get = out.get
         bitems = list(other._terms.items())
         for ea, ca in self._terms.items():
@@ -221,14 +218,14 @@ class Polynomial:
 
     # -- structure queries ---------------------------------------------------
 
-    def coefficient(self, exps) -> int | Fraction:
+    def coefficient(self, exps) -> int:
         return self._terms.get(tuple(exps), 0)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in canonical order: lexicographic descending exponents."""
         return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
 
-    def leading(self) -> tuple[tuple[int, ...], int | Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], int]:
         """Lex-greatest term as (exponents, coefficient)."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
@@ -318,19 +315,6 @@ class Polynomial:
             raise ValueError(f"renaming collides: {new_vars}")
         return Polynomial._raw(new_vars, dict(self._terms))
 
-    def with_vars(self, new_vars) -> "Polynomial":
-        """Re-express over a superset variable list (matched by name)."""
-        new_vars = tuple(new_vars)
-        idx = [new_vars.index(v) for v in self.vars]
-        width = len(new_vars)
-        out = {}
-        for e, c in self._terms.items():
-            ne = [0] * width
-            for j, ei in zip(idx, e):
-                ne[j] = ei
-            out[tuple(ne)] = c
-        return Polynomial._raw(new_vars, out)
-
     def coefficients_in(self, var) -> list["Polynomial"]:
         """Coefficients of the powers of ``var``, index = power, over the rest."""
         i = self._var_index(var)
@@ -350,28 +334,11 @@ class Polynomial:
                 out[e] = nc
         return Polynomial._raw(self.vars, out)
 
-    def to_integer(self) -> "Polynomial":
-        """Convert rational coefficients to ints, or raise NonIntegralCoefficient."""
-        out = {}
-        for e, c in self._terms.items():
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise NonIntegralCoefficient(f"coefficient {c} at {e}")
-                c = int(c)
-            out[e] = c
-        return Polynomial._raw(self.vars, out)
-
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
         """JSON-ready dict; coefficients as decimal strings, canonical order."""
-        terms = []
-        for e, c in self.sorted_terms():
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise NonIntegralCoefficient(f"cannot serialize {c}")
-                c = int(c)
-            terms.append({"e": list(e), "c": str(c)})
+        terms = [{"e": list(e), "c": str(c)} for e, c in self.sorted_terms()]
         return {"vars": list(self.vars), "terms": terms}
 
     @classmethod

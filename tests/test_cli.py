@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from nvalue import cli, conjectures
 from nvalue.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -96,6 +97,22 @@ class TestScanCommand:
         code, out = run_cli(capsys, "scan", "--kind", "factors", "--max-n", "7")
         assert code == 0
         assert out == (GOLDEN / "scan_factors_7.txt").read_text()
+
+    def test_streams_each_report_before_the_next_n(self, tmp_path, monkeypatch):
+        target = tmp_path / "scan.txt"
+        written_before = {}
+
+        def factor_report(n):
+            written_before[n] = target.read_text()
+            return conjectures.factor_report(n)
+
+        monkeypatch.setitem(cli._SCAN_FN, "factors", factor_report)
+        code = main(["scan", "--kind", "factors", "--max-n", "7", "-o", str(target)])
+        assert code == 0
+        golden = (GOLDEN / "scan_factors_7.txt").read_text()
+        assert target.read_text() == golden
+        assert written_before[1] == ""
+        assert written_before[2] == golden[:golden.index("n=2\n")]
 
     def test_max_n_below_two_is_usage_error(self, capsys):
         assert main(["scan", "--kind", "factors", "--max-n", "1"]) == 2

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from nvalue import construct
 from nvalue.construct import (
     CycloElement,
     NonConstantInT,
+    NonIntegralCoefficient,
     _extract_constant,
     build_pn,
     build_pn_cyclo,
@@ -129,6 +131,11 @@ class TestDualAlgorithm:
         for n in range(1, 11):
             assert build_pn_cyclo(n) == build_pn_newton_identities(n)
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", range(13, 17))
+    def test_agreement_past_12(self, n):
+        assert build_pn_cyclo(n) == build_pn_newton_identities(n)
+
     def test_default_route(self):
         assert build_pn(6) == build_pn_newton_identities(6)
 
@@ -140,7 +147,7 @@ class TestDualAlgorithm:
 
 
 class TestStructure:
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 41))
     def test_symmetric_homogeneous_monic(self, n):
         p = build_pn(n)
         assert p.is_symmetric()
@@ -151,7 +158,7 @@ class TestStructure:
 
 
 class TestRestriction:
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 41))
     def test_identity(self, n):
         XZ = ("x", "z")
         xx = Polynomial.variable("x", XZ)
@@ -192,6 +199,13 @@ class TestErrors:
     def test_component_count_enforced(self):
         with pytest.raises(ValueError):
             CycloElement(3, [Polynomial.one(("u", "v", "z"))])
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # all-ones power sums give 2 e_2 = x*y, which no integer row solves
+        monkeypatch.setattr(construct, "power_sum", lambda n, m: Polynomial(
+            ("x", "y"), {(m - i, i): 1 for i in range(m + 1)}))
+        with pytest.raises(NonIntegralCoefficient):
+            build_pn_newton_identities.__wrapped__(2)
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ import pytest
 
 from nvalue.polyring import (
     IndivisibleExponent,
-    NonIntegralCoefficient,
     Polynomial,
     VariableMismatch,
 )
@@ -209,19 +208,10 @@ class TestCanonicalForm:
             Polynomial(XYZ, {(-1, 0, 0): 1})
 
 
-class TestRational:
-    def test_fraction_arithmetic_stays_exact(self):
-        f = P({(1, 0, 0): Fraction(1, 3)}) * 3
-        assert f == x
-
-    def test_to_integer_roundtrip(self):
-        f = P({(1, 0, 0): Fraction(6, 2)})
-        assert f.to_integer() == P({(1, 0, 0): 3})
-
-    def test_to_integer_rejects_proper_fraction(self):
-        f = P({(1, 0, 0): Fraction(1, 2)})
-        with pytest.raises(NonIntegralCoefficient):
-            f.to_integer()
+class TestIntegerCoefficients:
+    def test_fraction_rejected(self):
+        with pytest.raises(TypeError):
+            Polynomial(XYZ, {(1, 0, 0): Fraction(1, 2)})
 
 
 class TestJson:

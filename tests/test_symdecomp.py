@@ -140,7 +140,7 @@ class TestVerifyProposition:
         assert all(c.expected == 0 for c in rep.checks)
         assert len(rep.checks) == 3
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 25))
     def test_range(self, n):
         assert verify_proposition(n).passed
 
