@@ -238,7 +238,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .construct import build_pn
-from .symdecomp import decompose
+from .symdecomp import decompose, partitions3
 
 
 class NotPrimePower(ValueError):
@@ -50,17 +50,6 @@ class ScanReport:
             ],
             "overall": self.overall,
         }
-
-
-def partitions3(n: int) -> list[tuple[int, int, int]]:
-    """All partitions of n into at most 3 parts, descending."""
-    out = []
-    for k1 in range((n + 2) // 3, n + 1):
-        for k2 in range(min(k1, n - k1), -1, -1):
-            k3 = n - k1 - k2
-            if 0 <= k3 <= k2:
-                out.append((k1, k2, k3))
-    return sorted(out, reverse=True)
 
 
 def prime_power(n: int) -> tuple[int, int] | None:

@@ -5,7 +5,7 @@ integer coefficients (Python ints, arbitrary precision) over a declared,
 ordered variable list.
 
 The canonical term order is lexicographic descending on the exponent
-tuple.  It fixes serialization, printing and the leading term.
+tuple.  It fixes serialization and printing.
 """
 
 from __future__ import annotations
@@ -225,21 +225,9 @@ class Polynomial:
         """Terms in canonical order: lexicographic descending exponents."""
         return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
 
-    def leading(self) -> tuple[tuple[int, ...], int]:
-        """Lex-greatest term as (exponents, coefficient)."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self._terms)
-        return e, self._terms[e]
-
     def support(self) -> set[tuple[int, ...]]:
         """Exponent tuples carrying a nonzero coefficient."""
         return set(self._terms)
-
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(e) for e in self._terms)
 
     def homogeneous_degree(self) -> int | None:
         """Common total degree of all terms, or None if mixed or zero."""

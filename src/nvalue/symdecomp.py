@@ -2,15 +2,17 @@
 
 A symmetric homogeneous polynomial of degree n in three variables is a
 unique integer combination of monomials e1^(k1-k2) e2^(k2-k3) e3^k3
-indexed by partitions k1 >= k2 >= k3 >= 0 of n.  ``decompose`` finds the
-coefficients by leading-term elimination; ``recompose`` is its exact
-inverse and serves as the round-trip oracle.
+indexed by partitions k1 >= k2 >= k3 >= 0 of n.  Symmetry fixes such a
+polynomial by its coefficients at those partition exponents, so
+``decompose`` eliminates on that grid alone; ``recompose`` is its exact
+inverse on full ``Polynomial`` arithmetic and the independent oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -43,39 +45,39 @@ def elementary(vars: tuple[str, ...], k: int) -> Polynomial:
     return Polynomial._raw(vars, terms)
 
 
+def partitions3(n: int) -> list[tuple[int, int, int]]:
+    """All partitions of n into at most 3 parts, descending."""
+    out = []
+    for k1 in range((n + 2) // 3, n + 1):
+        for k2 in range(min(k1, n - k1), -1, -1):
+            k3 = n - k1 - k2
+            if 0 <= k3 <= k2:
+                out.append((k1, k2, k3))
+    return sorted(out, reverse=True)
+
+
 @lru_cache(maxsize=None)
-def _e_power(vars: tuple[str, ...], k: int, exp: int) -> Polynomial:
-    return elementary(vars, k) ** exp
+def _e1e2_power(a: int, b: int) -> dict[tuple[int, int, int], int]:
+    """Coefficients of e1^a e2^b at its partition exponents (read-only).
 
-
-def _e_monomial(vars: tuple[str, ...], powers: tuple[int, ...]) -> Polynomial:
-    prod = Polynomial.one(vars)
-    for k, exp in enumerate(powers, start=1):
-        if exp:
-            prod = prod * _e_power(vars, k, exp)
-    return prod
-
-
-def _decompose_exponents(f: Polynomial) -> dict[tuple[int, ...], int]:
-    """Leading-term elimination, generic in the variable count.
-
-    Returns partition tuples (the lex-leading exponents) mapped to their
-    coefficients.  The leading exponent of a symmetric polynomial is
-    weakly decreasing, and each elimination step strictly lowers it, so
-    the loop terminates.
+    One multiplication of e1^(a-1) e2^b by e1, or of e2^(b-1) by e2 when
+    a = 0: the coefficient at a partition λ sums the predecessor's at
+    λ minus each monomial of e_k, sorted back onto the grid.
     """
-    vars = f.vars
-    m = len(vars)
-    coeffs: dict[tuple[int, ...], int] = {}
-    work = f
-    while work:
-        exps, c = work.leading()
-        if any(exps[i] < exps[i + 1] for i in range(m - 1)):
-            raise NotSymmetric(f"leading exponent {exps} is not weakly decreasing")
-        powers = tuple(exps[i] - (exps[i + 1] if i + 1 < m else 0) for i in range(m))
-        coeffs[exps] = c
-        work = work - _e_monomial(vars, powers) * c
-    return coeffs
+    if a == b == 0:
+        return {(0, 0, 0): 1}
+    k, prev = (1, _e1e2_power(a - 1, b)) if a else (2, _e1e2_power(0, b - 1))
+    picks = elementary(("x", "y", "z"), k).support()
+    out = {}
+    for lam in partitions3(a + 2 * b):
+        c = 0
+        for pick in picks:
+            mu = sorted(map(operator.sub, lam, pick), reverse=True)
+            if mu[2] >= 0:
+                c += prev.get(tuple(mu), 0)
+        if c:
+            out[lam] = c
+    return out
 
 
 @dataclass(frozen=True)
@@ -142,8 +144,12 @@ def _check_partition(key, n: int) -> None:
 def decompose(f: Polynomial) -> EBasisPolynomial:
     """Express a symmetric homogeneous 3-variable polynomial in the e-basis.
 
-    Validates symmetry and homogeneity up front; recompose(decompose(f))
-    equals f exactly.
+    Validates symmetry and homogeneity up front, then eliminates on the
+    partitions of n in descending order: the coefficient left at each is
+    A_{k1,k2,k3}, and that multiple of e1^(k1-k2) e2^(k2-k3) e3^k3, whose
+    leading exponent is the partition itself, is subtracted from the later
+    ones.  e3^k3 shifts the grid by (k3, k3, k3).
+    recompose(decompose(f)) equals f exactly.
     """
     if len(f.vars) != 3:
         raise ValueError(f"expected 3 variables, got {f.vars}")
@@ -152,15 +158,26 @@ def decompose(f: Polynomial) -> EBasisPolynomial:
     if not f.is_symmetric():
         raise NotSymmetric("polynomial is not symmetric in its variables")
     n = f.homogeneous_degree() or 0
-    return EBasisPolynomial(n, _decompose_exponents(f))
+    grid = partitions3(n)
+    work = {lam: f.coefficient(lam) for lam in grid}
+    coeffs = {}
+    for k1, k2, k3 in grid:
+        c = work[k1, k2, k3]
+        if not c:
+            continue
+        coeffs[k1, k2, k3] = c
+        for (m1, m2, m3), v in _e1e2_power(k1 - k2, k2 - k3).items():
+            work[m1 + k3, m2 + k3, m3 + k3] -= c * v
+    return EBasisPolynomial(n, coeffs)
 
 
 def recompose(g: EBasisPolynomial, vars=("x", "y", "z")) -> Polynomial:
     """Expand an e-basis combination back into the monomial basis."""
     vars = tuple(vars)
+    e1, e2, e3 = (elementary(vars, k) for k in (1, 2, 3))
     acc = Polynomial.zero(vars)
     for (k1, k2, k3), a in g.sorted_items():
-        acc = acc + _e_monomial(vars, (k1 - k2, k2 - k3, k3)) * a
+        acc = acc + e1 ** (k1 - k2) * e2 ** (k2 - k3) * e3 ** k3 * a
     return acc
 
 
@@ -220,6 +237,7 @@ __all__ = [
     "PropositionReport",
     "decompose",
     "elementary",
+    "partitions3",
     "recompose",
     "verify_proposition",
 ]

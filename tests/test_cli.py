@@ -172,6 +172,15 @@ class TestUsageErrors:
         assert "--tol" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", (["pn", "--n", "3"],
+                                      ["scan", "--kind", "prime-power", "--max-n", "3"]))
+    def test_output_into_missing_directory(self, tmp_path, capsys, argv):
+        target = tmp_path / "missing" / "x.txt"
+        assert main(argv + ["-o", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
 
 class TestOutputFile:
     def test_output_flag(self, tmp_path, capsys):

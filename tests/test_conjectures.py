@@ -87,6 +87,11 @@ class TestScanPrimePower:
     def test_known_prime_powers_pass(self, n):
         assert scan_prime_power(n).overall == "pass"
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", (27, 32, 49, 64))
+    def test_passes_past_16(self, n):
+        assert scan_prime_power(n).overall == "pass"
+
 
 class TestScanEvenNonzero:
     def test_n6(self):
@@ -109,6 +114,11 @@ class TestScanEvenNonzero:
         rep = scan_even_nonzero(n)
         assert rep.overall in ("pass", "fail")
         assert len(rep.checks) == len(partitions3(n))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", range(14, 41, 2))
+    def test_passes_past_12(self, n):
+        assert scan_even_nonzero(n).overall == "pass"
 
 
 class TestFactorReport:

@@ -157,6 +157,11 @@ class TestVerifyTheorem:
         assert rep.passed
         assert rep.degree == n
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", range(13, 49))
+    def test_pn_passes_past_12(self, n):
+        assert verify_theorem(build_pn(n)).passed
+
     def test_e2_lacks_pure_power(self):
         with pytest.raises(HypothesisNotMet) as err:
             verify_theorem(elementary(XYZ, 2))

@@ -70,6 +70,23 @@ class TestDecompose:
         assert decompose(Polynomial.constant(5, XYZ)).coeffs == {(0, 0, 0): 5}
 
 
+class TestSympyOracle:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_symmetrize(self, n):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.polyfuncs import symmetrize
+
+        gens = sympy.symbols("x y z")
+        p = build_pn(n)
+        expr = sympy.Poly.from_dict(dict(p.sorted_terms()), *gens).as_expr()
+        sym, rest, defs = symmetrize(expr, *gens, formal=True)
+        assert rest == 0
+        # s1^a s2^b s3^c is the basis monomial of partition (a+b+c, b+c, c)
+        terms = sympy.Poly(sym, *(s for s, _ in defs)).terms()
+        got = {(a + b + c, b + c, c): int(v) for (a, b, c), v in terms}
+        assert decompose(p).coeffs == got
+
+
 class TestRecompose:
     def test_e3(self):
         assert recompose(EBasisPolynomial(3, {(1, 1, 1): 1})) == x * y * z
@@ -84,7 +101,7 @@ class TestRecompose:
         p3 = build_pn(3)
         assert recompose(decompose(p3)) == p3
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 25))
     def test_round_trip_constructed(self, n):
         p = build_pn(n)
         assert recompose(decompose(p)) == p
