@@ -16,6 +16,11 @@ provided and must agree exactly:
 * ``build_pn_newton_identities`` computes the power sums of the n roots
   in closed form and converts them to elementary symmetric functions via
   Newton's identities on integer coefficient rows, dividing exactly.
+  The rows stop at k = floor(2n/3) + 1: every coefficient of p_n is read
+  from a row up to floor(2n/3).  Each row is a palindrome, so only its first
+  half is computed and the rest mirrored.  The full polynomial is then
+  filled term by term, each term reading the coefficient at its sorted
+  exponent; p_n is symmetric, so that is the same number.
 
 Working modulo Phi_n rather than t^n - 1 is essential: modulo t^n - 1 the
 product keeps contributions from every divisor of n and is not constant
@@ -215,34 +220,49 @@ def build_pn_newton_identities(n: int) -> Polynomial:
     k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} P_i; the division by k is exact
     and raises NonIntegralCoefficient otherwise.
     p_n = sum_k (-1)^k e_k z^(n-k).
+
+    p_n is symmetric in (x, y, z), so the coefficient of each term is the
+    one at its sorted exponent (k1, k2, k3), k1 >= k2 >= k3: that of
+    x^k2 y^k3 z^k1, which is (-1)^(n-k1) times entry k3 of e_(n-k1).  As
+    k1 >= n/3, no row past floor(2n/3) is read, and the identities stop at
+    k = floor(2n/3) + 1.  Each row is a palindrome (x <-> y), so only its
+    first floor(k/2) + 1 entries are computed, from the same entries of
+    the convolution; the rest are mirrored.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    top = min(n, 2 * n // 3 + 1)
     # P_m has all m+1 terms; lex-descending order lists x^(m-i) y^i by rising i
     psums = [None] + [[c for _, c in power_sum(n, m).sorted_terms()]
-                      for m in range(1, n + 1)]
+                      for m in range(1, top + 1)]
     elem = [[1]]
-    for k in range(1, n + 1):
-        acc = [0] * (k + 1)
+    for k in range(1, top + 1):
+        h = k // 2
+        acc = [0] * (h + 1)
         for i in range(1, k + 1):
             sign = 1 if i % 2 else -1
-            for a, ca in enumerate(elem[k - i]):
+            for a, ca in enumerate(elem[k - i][:h + 1]):
                 ca *= sign
-                for b, cb in enumerate(psums[i]):
+                for b, cb in enumerate(psums[i][:h + 1 - a]):
                     acc[a + b] += ca * cb
-        row = []
+        half = []
         for i, c in enumerate(acc):
             q, r = divmod(c, k)
             if r:
                 raise NonIntegralCoefficient(
                     f"e_{k} coefficient {c} of x^{k - i} y^{i} is not divisible by {k}")
-            row.append(q)
-        elem.append(row)
+            half.append(q)
+        elem.append(half + half[:k - h][::-1])
+    # insertion order (rising k, then i) fixes the floating-point sums of
+    # Polynomial.eval_complex, which the numeric axiom checks depend on
     terms = {}
-    for k, row in enumerate(elem):
-        for i, c in enumerate(row):
+    for k in range(n + 1):
+        for i in range(k + 1):
+            e = (k - i, i, n - k)
+            k1, _, k3 = sorted(e, reverse=True)
+            c = elem[n - k1][k3]
             if c:
-                terms[(k - i, i, n - k)] = -c if k % 2 else c
+                terms[e] = -c if (n - k1) % 2 else c
     return Polynomial._raw(_XYZ, terms)
 
 

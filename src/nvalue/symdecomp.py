@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -47,13 +46,14 @@ def elementary(vars: tuple[str, ...], k: int) -> Polynomial:
 
 def partitions3(n: int) -> list[tuple[int, int, int]]:
     """All partitions of n into at most 3 parts, descending."""
-    out = []
-    for k1 in range((n + 2) // 3, n + 1):
-        for k2 in range(min(k1, n - k1), -1, -1):
-            k3 = n - k1 - k2
-            if 0 <= k3 <= k2:
-                out.append((k1, k2, k3))
-    return sorted(out, reverse=True)
+    return [(k1, k2, n - k1 - k2)
+            for k1 in range(n, (n + 2) // 3 - 1, -1)
+            for k2 in range(min(k1, n - k1), (n - k1 + 1) // 2 - 1, -1)]
+
+
+# exponents of the monomials of e1 and of e2 in (x, y, z)
+_E1_PICKS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_E2_PICKS = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 
 @lru_cache(maxsize=None)
@@ -62,19 +62,30 @@ def _e1e2_power(a: int, b: int) -> dict[tuple[int, int, int], int]:
 
     One multiplication of e1^(a-1) e2^b by e1, or of e2^(b-1) by e2 when
     a = 0: the coefficient at a partition λ sums the predecessor's at
-    λ minus each monomial of e_k, sorted back onto the grid.
+    λ minus each monomial of e_k.  That difference is put back in
+    descending order by three compare-and-swaps, and skipped when a part
+    is negative.
     """
     if a == b == 0:
         return {(0, 0, 0): 1}
-    k, prev = (1, _e1e2_power(a - 1, b)) if a else (2, _e1e2_power(0, b - 1))
-    picks = elementary(("x", "y", "z"), k).support()
+    if a:
+        prev, picks = _e1e2_power(a - 1, b), _E1_PICKS
+    else:
+        prev, picks = _e1e2_power(0, b - 1), _E2_PICKS
     out = {}
     for lam in partitions3(a + 2 * b):
+        l1, l2, l3 = lam
         c = 0
-        for pick in picks:
-            mu = sorted(map(operator.sub, lam, pick), reverse=True)
-            if mu[2] >= 0:
-                c += prev.get(tuple(mu), 0)
+        for p1, p2, p3 in picks:
+            m1, m2, m3 = l1 - p1, l2 - p2, l3 - p3
+            if m1 < m2:
+                m1, m2 = m2, m1
+            if m2 < m3:
+                m2, m3 = m3, m2
+                if m1 < m2:
+                    m1, m2 = m2, m1
+            if m3 >= 0:
+                c += prev.get((m1, m2, m3), 0)
         if c:
             out[lam] = c
     return out

@@ -1,5 +1,7 @@
 import cmath
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +19,12 @@ from nvalue.construct import (
     restrict_y0,
 )
 from nvalue.polyring import Polynomial
+from nvalue.symdecomp import decompose
 
 from helpers import XYZ
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+import checks  # noqa: E402
 
 x = Polynomial.variable("x", XYZ)
 y = Polynomial.variable("y", XYZ)
@@ -144,6 +150,38 @@ class TestDualAlgorithm:
         e1w = 2 * (x + y)
         e2w = (x - y) ** 2
         assert build_pn_newton_identities(2) == z ** 2 - e1w * z + e2w
+
+
+class TestDefiningProduct:
+    """build_pn and its e-basis table against the circulant determinant in
+    benchmarks/checks.py, at seeded integer points: a wrong degree-n
+    polynomial differs at a random point with high probability."""
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n, count", [(n, 2) for n in range(17, 49)] + [(64, 1)])
+    def test_raw_and_table(self, n, count):
+        p = build_pn(n)
+        table = decompose(p).coeffs
+        # partition keys and the e3-free closed form; the points follow
+        assert checks.check_table(n, table, []) == []
+        sign = -1 if n % 2 else 1
+        for a, b, zv in checks.sample_points(random.Random(n), count):
+            xv, yv = sign * a ** n, sign * b ** n
+            want = checks.defining_product(n, a, b, zv)
+            assert sum(c * xv ** i * yv ** j * zv ** k
+                       for (i, j, k), c in p.sorted_terms()) == want
+            assert checks.table_value(table, xv, yv, zv) == want
+
+
+class TestTermOrder:
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_rising_z_degree_then_y(self, n):
+        # Polynomial.eval_complex sums in this order, so it fixes the bits
+        # of the numeric axiom checks
+        p = build_pn(n)
+        expected = [(k - i, i, n - k) for k in range(n + 1) for i in range(k + 1)
+                    if p.coefficient((k - i, i, n - k))]
+        assert list(p._terms) == expected
 
 
 class TestStructure:

@@ -161,6 +161,11 @@ class TestVerifyProposition:
     def test_range(self, n):
         assert verify_proposition(n).passed
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", (64, 96))
+    def test_passes_at_large_n(self, n):
+        assert verify_proposition(n).passed
+
 
 class TestJson:
     def test_schema_descending(self):
