@@ -2,10 +2,11 @@
 
 A symmetric homogeneous polynomial of degree n in three variables is a
 unique integer combination of monomials e1^(k1-k2) e2^(k2-k3) e3^k3
-indexed by partitions k1 >= k2 >= k3 >= 0 of n.  Symmetry fixes such a
-polynomial by its coefficients at those partition exponents, so
-``decompose`` eliminates on that grid alone; ``recompose`` is its exact
-inverse on full ``Polynomial`` arithmetic and the independent oracle.
+indexed by partitions k1 >= k2 >= k3 >= 0 of n.  ``decompose`` rewrites
+the polynomial in s = x + y, p = xy and z, where e1 = s + z, e2 = p + zs
+and e3 = zp, and peels one power of e3 at a time with binomial
+coefficients only; ``recompose`` is its exact inverse on full
+``Polynomial`` arithmetic and the independent oracle.
 """
 
 from __future__ import annotations
@@ -49,46 +50,6 @@ def partitions3(n: int) -> list[tuple[int, int, int]]:
     return [(k1, k2, n - k1 - k2)
             for k1 in range(n, (n + 2) // 3 - 1, -1)
             for k2 in range(min(k1, n - k1), (n - k1 + 1) // 2 - 1, -1)]
-
-
-# exponents of the monomials of e1 and of e2 in (x, y, z)
-_E1_PICKS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-_E2_PICKS = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
-
-
-@lru_cache(maxsize=None)
-def _e1e2_power(a: int, b: int) -> dict[tuple[int, int, int], int]:
-    """Coefficients of e1^a e2^b at its partition exponents (read-only).
-
-    One multiplication of e1^(a-1) e2^b by e1, or of e2^(b-1) by e2 when
-    a = 0: the coefficient at a partition λ sums the predecessor's at
-    λ minus each monomial of e_k.  That difference is put back in
-    descending order by three compare-and-swaps, and skipped when a part
-    is negative.
-    """
-    if a == b == 0:
-        return {(0, 0, 0): 1}
-    if a:
-        prev, picks = _e1e2_power(a - 1, b), _E1_PICKS
-    else:
-        prev, picks = _e1e2_power(0, b - 1), _E2_PICKS
-    out = {}
-    for lam in partitions3(a + 2 * b):
-        l1, l2, l3 = lam
-        c = 0
-        for p1, p2, p3 in picks:
-            m1, m2, m3 = l1 - p1, l2 - p2, l3 - p3
-            if m1 < m2:
-                m1, m2 = m2, m1
-            if m2 < m3:
-                m2, m3 = m3, m2
-                if m1 < m2:
-                    m1, m2 = m2, m1
-            if m3 >= 0:
-                c += prev.get((m1, m2, m3), 0)
-        if c:
-            out[lam] = c
-    return out
 
 
 @dataclass(frozen=True)
@@ -155,30 +116,47 @@ def _check_partition(key, n: int) -> None:
 def decompose(f: Polynomial) -> EBasisPolynomial:
     """Express a symmetric homogeneous 3-variable polynomial in the e-basis.
 
-    Validates symmetry and homogeneity up front, then eliminates on the
-    partitions of n in descending order: the coefficient left at each is
-    A_{k1,k2,k3}, and that multiple of e1^(k1-k2) e2^(k2-k3) e3^k3, whose
-    leading exponent is the partition itself, is subtracted from the later
-    ones.  e3^k3 shifts the grid by (k3, k3, k3).
+    Validates the arity, homogeneity and symmetry up front.  Then writes
+    f in s = x + y, p = xy and z: the coefficient of z^j is a symmetric
+    binary form of degree d = n - j, whose coefficient at s^(d-2b) p^b is
+    solved from f's coefficients at x^(d-i) y^i z^j, i <= d/2, as
+    s^a p^b puts C(a, i-b) there.  Since e1 = s + z, e2 = p + zs and
+    e3 = zp, the z-free terms c s^a p^b are the e3^k3 layer of the
+    answer, A at (a+b+k3, b+k3, k3); subtracting c (s + z)^a (p + zs)^b
+    leaves a multiple of zp, which is divided out before the next layer.
     recompose(decompose(f)) equals f exactly.
     """
     if len(f.vars) != 3:
         raise ValueError(f"expected 3 variables, got {f.vars}")
-    if f and f.homogeneous_degree() is None:
+    n = f.homogeneous_degree()
+    if f and n is None:
         raise NotHomogeneous(f"terms of {f!r} have mixed total degree")
     if not f.is_symmetric():
         raise NotSymmetric("polynomial is not symmetric in its variables")
-    n = f.homogeneous_degree() or 0
-    grid = partitions3(n)
-    work = {lam: f.coefficient(lam) for lam in grid}
+    n = n or 0
+    # coefficients of s^a p^b z^j, keyed (a, b, j)
+    g = {}
+    for j in range(n + 1):
+        d = n - j
+        row = []
+        for i in range(d // 2 + 1):
+            row.append(f.coefficient((d - i, i, j))
+                       - sum(c * math.comb(d - 2 * b, i - b)
+                             for b, c in enumerate(row)))
+        for b, c in enumerate(row):
+            if c:
+                g[d - 2 * b, b, j] = c
     coeffs = {}
-    for k1, k2, k3 in grid:
-        c = work[k1, k2, k3]
-        if not c:
-            continue
-        coeffs[k1, k2, k3] = c
-        for (m1, m2, m3), v in _e1e2_power(k1 - k2, k2 - k3).items():
-            work[m1 + k3, m2 + k3, m3 + k3] -= c * v
+    for k3 in range(n // 3 + 1):
+        layer = [(a, b, c) for (a, b, j), c in g.items() if not j]
+        for a, b, c in layer:
+            coeffs[a + b + k3, b + k3, k3] = c
+            for i in range(a + 1):
+                ci = c * math.comb(a, i)
+                for l in range(b + 1):
+                    key = a - i + l, b - l, i + l
+                    g[key] = g.get(key, 0) - ci * math.comb(b, l)
+        g = {(a, b - 1, j - 1): c for (a, b, j), c in g.items() if c}
     return EBasisPolynomial(n, coeffs)
 
 

@@ -52,7 +52,6 @@ def _clear_caches():
     construct.cyclotomic.cache_clear()
     construct._t_power_rows.cache_clear()
     symdecomp.elementary.cache_clear()
-    symdecomp._e1e2_power.cache_clear()
 
 
 def test_criterion_1_golden_tables():

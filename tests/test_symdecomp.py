@@ -69,22 +69,36 @@ class TestDecompose:
     def test_constant(self):
         assert decompose(Polynomial.constant(5, XYZ)).coeffs == {(0, 0, 0): 5}
 
+    def test_zero(self):
+        assert decompose(Polynomial.zero(XYZ)) == EBasisPolynomial(0, {})
+
+
+def _symmetrize_table(f):
+    """e-basis table of f from sympy's ``symmetrize``, keyed by partition."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.polyfuncs import symmetrize
+
+    gens = sympy.symbols("x y z")
+    expr = sympy.Poly.from_dict(dict(f.sorted_terms()), *gens).as_expr()
+    sym, rest, defs = symmetrize(expr, *gens, formal=True)
+    assert rest == 0
+    # s1^a s2^b s3^c is the basis monomial of partition (a+b+c, b+c, c)
+    terms = sympy.Poly(sym, *(s for s, _ in defs)).terms()
+    return {(a + b + c, b + c, c): int(v) for (a, b, c), v in terms if v}
+
 
 class TestSympyOracle:
     @pytest.mark.parametrize("n", range(1, 17))
     def test_matches_symmetrize(self, n):
-        sympy = pytest.importorskip("sympy")
-        from sympy.polys.polyfuncs import symmetrize
-
-        gens = sympy.symbols("x y z")
         p = build_pn(n)
-        expr = sympy.Poly.from_dict(dict(p.sorted_terms()), *gens).as_expr()
-        sym, rest, defs = symmetrize(expr, *gens, formal=True)
-        assert rest == 0
-        # s1^a s2^b s3^c is the basis monomial of partition (a+b+c, b+c, c)
-        terms = sympy.Poly(sym, *(s for s, _ in defs)).terms()
-        got = {(a + b + c, b + c, c): int(v) for (a, b, c), v in terms}
-        assert decompose(p).coeffs == got
+        assert decompose(p).coeffs == _symmetrize_table(p)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_symmetrize_random(self, seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            f = random_symmetric_homogeneous(rng, max_degree=18)
+            assert decompose(f).coeffs == _symmetrize_table(f)
 
 
 class TestRecompose:
@@ -109,7 +123,7 @@ class TestRecompose:
     def test_round_trip_random_symmetric(self):
         rng = random.Random(99)
         for _ in range(60):
-            f = random_symmetric_homogeneous(rng)
+            f = random_symmetric_homogeneous(rng, max_degree=18)
             assert recompose(decompose(f), f.vars) == f
 
     def test_alternate_variable_names(self):
