@@ -81,7 +81,7 @@ def cmd_pn(args) -> int:
 def cmd_newton(args) -> int:
     p = construct.build_pn(args.n)
     poly = newton.newton_polytope(p)
-    simplex = newton.is_k_simplex(poly, args.n, 2)
+    simplex = newton.is_k_simplex(poly, args.n)
     if args.format == "svg":
         _emit(newton.render_svg(p), args.output)
     elif args.format == "json":

@@ -170,7 +170,6 @@ __all__ = [
     "factor_report",
     "factorize",
     "format_factored",
-    "partitions3",
     "prime_power",
     "scan_even_nonzero",
     "scan_prime_power",

@@ -280,7 +280,6 @@ __all__ = [
     "CycloElement",
     "CyclotomicPoly",
     "NonConstantInT",
-    "NonIntegralCoefficient",
     "build_pn",
     "build_pn_cyclo",
     "build_pn_newton_identities",

@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 from . import construct
 
 
-class RootFindingFailure(RuntimeError):
+class RootFindingFailure(ArithmeticError):
     """Numeric root extraction did not converge to finite values."""
 
 

@@ -34,7 +34,6 @@ class NewtonPolytope:
     ``degree``, counterclockwise in the (first, second) projection.
     """
 
-    dim: int
     degree: int
     vertices: tuple[tuple[int, ...], ...]
 
@@ -85,23 +84,19 @@ def newton_polytope(f: Polynomial) -> NewtonPolytope:
     """Convex hull of the support of f as a NewtonPolytope."""
     degree, pts = _projected_support(f)
     verts = tuple((i, j, degree - i - j) for i, j in convex_hull_2d(pts))
-    return NewtonPolytope(3, degree, verts)
+    return NewtonPolytope(degree, verts)
 
 
-def is_k_simplex(p: NewtonPolytope, k: int, n: int) -> bool:
-    """True iff the vertex set is exactly {k * unit_i, i = 0..n} in R^(n+1)."""
-    if k < 1 or n < 0:
-        raise ValueError("need k >= 1 and n >= 0")
-    if p.dim != n + 1:
-        return False
-    expected = {tuple(k if j == i else 0 for j in range(n + 1)) for i in range(n + 1)}
-    return set(p.vertices) == expected
+def is_k_simplex(p: NewtonPolytope, k: int) -> bool:
+    """True iff the vertex set is exactly {(k,0,0), (0,k,0), (0,0,k)}."""
+    if k < 1:
+        raise ValueError("need k >= 1")
+    return set(p.vertices) == {(k, 0, 0), (0, k, 0), (0, 0, k)}
 
 
 @dataclass(frozen=True)
 class TheoremReport:
     degree: int
-    simplex_dim: int
     vertices: tuple[tuple[int, ...], ...]
     passed: bool
 
@@ -128,7 +123,7 @@ def verify_theorem(f: Polynomial) -> TheoremReport:
     if pure not in f.support():
         raise HypothesisNotMet(f"contains {f.vars[0]}^{k}")
     p = newton_polytope(f)
-    return TheoremReport(k, nvars - 1, p.vertices, is_k_simplex(p, k, nvars - 1))
+    return TheoremReport(k, p.vertices, is_k_simplex(p, k))
 
 
 # -- SVG rendering ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from nvalue import cli, conjectures
 from nvalue.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +183,16 @@ class TestUsageErrors:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
+    def test_axioms_past_double_range(self, capsys):
+        # p_47's largest coefficient has 1029 bits, so its value at a
+        # sample point overflows to inf: a usage error, not a failed axiom
+        with pytest.warns(RuntimeWarning):
+            code = main(["axioms", "--n", "47", "--samples", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
 
 class TestOutputFile:
     def test_output_flag(self, tmp_path, capsys):
@@ -191,7 +203,43 @@ class TestOutputFile:
         assert capsys.readouterr().out == ""
 
 
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that finds the package under src/."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 class TestSubprocess:
+    def test_exact_layers_load_no_numpy_or_scipy(self):
+        proc = run_python(
+            "import sys\n"
+            "import nvalue.polyring, nvalue.construct, nvalue.symdecomp\n"
+            "import nvalue.newton, nvalue.conjectures\n"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_benchmark_tracer_finds_what_it_wraps(self):
+        # in a fresh interpreter, so that the wrappers reach no other test
+        proc = run_python(
+            "import contextlib, io, json, sys\n"
+            f"sys.path.insert(0, {str(ROOT / 'benchmarks')!r})\n"
+            "import nvalue.cli as cli\n"
+            "from spans import Tracer\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['newton', '--n', '3', '--format', 'json']) == 0\n"
+            "    assert cli.main(['scan', '--kind', 'prime-power', '--max-n', '4']) == 0\n"
+            "print(json.dumps(tracer.calls))\n")
+        assert proc.returncode == 0, proc.stderr
+        calls = json.loads(proc.stdout)
+        for span in ("construct.build_pn", "newton.newton_polytope",
+                     "conjectures.scan_prime_power"):
+            assert calls.get(span, 0) > 0, span
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "nvalue.cli", "pn", "--n", "5", "--basis", "e"],

@@ -9,11 +9,11 @@ from nvalue.conjectures import (
     factor_report,
     factorize,
     format_factored,
-    partitions3,
     prime_power,
     scan_even_nonzero,
     scan_prime_power,
 )
+from nvalue.symdecomp import partitions3
 
 
 class TestPartitions:

@@ -9,7 +9,6 @@ from nvalue import construct
 from nvalue.construct import (
     CycloElement,
     NonConstantInT,
-    NonIntegralCoefficient,
     _extract_constant,
     build_pn,
     build_pn_cyclo,
@@ -18,7 +17,7 @@ from nvalue.construct import (
     power_sum,
     restrict_y0,
 )
-from nvalue.polyring import Polynomial
+from nvalue.polyring import NonIntegralCoefficient, Polynomial
 from nvalue.symdecomp import decompose
 
 from helpers import XYZ

@@ -5,7 +5,6 @@ import pytest
 from nvalue.construct import build_pn
 from nvalue.newton import (
     HypothesisNotMet,
-    NewtonPolytope,
     ZeroPolynomial,
     convex_hull_2d,
     is_k_simplex,
@@ -96,7 +95,7 @@ class TestNewtonPolytope:
     def test_p1_triangle(self):
         poly = newton_polytope(build_pn(1))
         assert set(poly.vertices) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-        assert poly.dim == 3 and poly.degree == 1
+        assert poly.degree == 1
 
     def test_p3_triangle(self):
         poly = newton_polytope(build_pn(3))
@@ -129,25 +128,20 @@ class TestNewtonPolytope:
 
 class TestIsKSimplex:
     def test_p5(self):
-        assert is_k_simplex(newton_polytope(build_pn(5)), 5, 2)
+        assert is_k_simplex(newton_polytope(build_pn(5)), 5)
 
     def test_monomial_is_not(self):
-        assert not is_k_simplex(newton_polytope(x * y * z), 3, 2)
+        assert not is_k_simplex(newton_polytope(x * y * z), 3)
 
     def test_p9(self):
-        assert is_k_simplex(newton_polytope(build_pn(9)), 9, 2)
+        assert is_k_simplex(newton_polytope(build_pn(9)), 9)
 
     def test_wrong_size(self):
-        assert not is_k_simplex(newton_polytope(build_pn(4)), 5, 2)
-
-    def test_dimension_mismatch(self):
-        poly = NewtonPolytope(2, 2, ((2, 0), (0, 2)))
-        assert is_k_simplex(poly, 2, 1)
-        assert not is_k_simplex(poly, 2, 2)
+        assert not is_k_simplex(newton_polytope(build_pn(4)), 5)
 
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
-            is_k_simplex(newton_polytope(build_pn(2)), 0, 2)
+            is_k_simplex(newton_polytope(build_pn(2)), 0)
 
 
 class TestVerifyTheorem:
