@@ -5,6 +5,5 @@ elementary-symmetric basis, computes their Newton polytopes, checks the
 group axioms numerically, and scans coefficient conjectures.
 
 Each name lives in its defining module (``from nvalue.construct import
-build_pn``).  Only ``mvgroup``, and ``cli`` through it, loads numpy and
-scipy.
+build_pn``).  Only ``mvgroup``, and ``cli`` through it, loads numpy.
 """

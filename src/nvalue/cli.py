@@ -231,10 +231,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Built once, on import: argparse's first parser imports locale (through
+# gettext), and a parser per main() call would repeat that import in every
+# process forked after this one, and the build itself in every call.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if getattr(args, "max_n", None) is not None and args.max_n < 2:
-        print("scan requires --max-n >= 2", file=sys.stderr)
+        print("error: scan requires --max-n >= 2", file=sys.stderr)
         return 2
     try:
         return args.fn(args)

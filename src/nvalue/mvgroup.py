@@ -3,8 +3,9 @@
 The product of x and y is the n-multiset [(x^(1/n) + eps^r y^(1/n))^n] over
 the n-th roots of unity eps^r, with principal-branch roots; the result is
 independent of the branch chosen.  Unit is 0, inverse is (-1)^n x.
-Multisets are compared by minimum-cost bipartite matching under a
-scale-aware tolerance.
+Multisets are equal when some bijection pairs their values within a
+scale-aware tolerance: the sorted orders are tried first, and an exact
+bipartite matching (Kuhn's augmenting paths) decides when they do not pair.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import cmath
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import construct
 
@@ -46,7 +46,13 @@ def mul_n(x: complex, y: complex, n: int) -> list[complex]:
         return [complex(x)] * n
     a = nth_root(x, n)
     b = nth_root(y, n)
-    return [(a + cmath.exp(2j * cmath.pi * r / n) * b) ** n for r in range(1, n + 1)]
+    return [(a + w * b) ** n for w in _unity(n)]
+
+
+@lru_cache(maxsize=None)
+def _unity(n: int) -> tuple[complex, ...]:
+    # eps^1, ..., eps^n with eps = exp(2 pi i / n)
+    return tuple(cmath.exp(2j * cmath.pi * r / n) for r in range(1, n + 1))
 
 
 def inv(x: complex, n: int) -> complex:
@@ -55,11 +61,14 @@ def inv(x: complex, n: int) -> complex:
 
 
 def eq_multiset(a, b, tol: float) -> bool:
-    """Multiset equality by minimum-cost perfect matching.
+    """Multiset equality: some bijection pairs every p in a with a q in b
+    such that |p - q| <= tol * max(1, |p|, |q|).
 
-    A matched pair (p, q) counts as equal when |p - q| <= tol * max(1,
-    |p|, |q|).  Cubic matching avoids the false negatives a sort-and-zip
-    comparison produces when values cluster.
+    The zipped sorted orders are tried first as the bijection; when some
+    pair fails, a perfect matching in the tolerance graph decides.  This
+    accepts every input a minimum-cost matching accepts, and also those
+    whose minimum-cost matching has one pair out of tolerance while another
+    bijection has none.
     """
     if len(a) != len(b):
         return False
@@ -69,10 +78,50 @@ def eq_multiset(a, b, tol: float) -> bool:
     bv = np.asarray(list(b), dtype=complex)
     if not (np.all(np.isfinite(av)) and np.all(np.isfinite(bv))):
         return False
-    cost = np.abs(av[:, None] - bv[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    scale = np.maximum(1.0, np.maximum(np.abs(av[rows]), np.abs(bv[cols])))
-    return bool(np.all(cost[rows, cols] <= tol * scale))
+    if np.all(_close(np.sort_complex(av), np.sort_complex(bv), tol)):
+        return True
+    return _has_perfect_matching(_close(av[:, None], bv[None, :], tol))
+
+
+def _close(p, q, tol: float):
+    """The per-pair test, broadcast over numpy arrays."""
+    return np.abs(p - q) <= tol * np.maximum(1.0, np.maximum(np.abs(p), np.abs(q)))
+
+
+def _has_perfect_matching(adj) -> bool:
+    """Kuhn's augmenting paths on a square boolean biadjacency matrix.
+
+    Each search is breadth-first without recursion, and takes a free
+    neighbour as soon as one is reached, so a cluster of equal values is
+    matched in one step per row.
+    """
+    size = len(adj)
+    col_of_row = np.full(size, -1)
+    row_of_col = np.full(size, -1)
+    for root in range(size):
+        parent = np.full(size, -1)    # row each column was reached from
+        seen = np.zeros(size, dtype=bool)
+        frontier, end = [root], -1
+        while frontier and end < 0:
+            following = []
+            for u in frontier:
+                reach = np.flatnonzero(adj[u] & ~seen)
+                seen[reach] = True
+                parent[reach] = u
+                free = reach[row_of_col[reach] < 0]
+                if free.size:
+                    end = int(free[0])
+                    break
+                following.extend(row_of_col[reach].tolist())
+            frontier = following
+        if end < 0:
+            return False
+        while end >= 0:               # flip the path back to the root
+            u = parent[end]
+            previous = col_of_row[u]
+            col_of_row[u], row_of_col[end] = end, u
+            end = previous
+    return True
 
 
 def contains_zero(values, tol: float) -> bool:

@@ -174,6 +174,12 @@ class TestUsageErrors:
         assert "--tol" in captured.err
         assert captured.out == ""
 
+    def test_scan_max_n_below_two(self, capsys):
+        assert main(["scan", "--kind", "prime-power", "--max-n", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", (["pn", "--n", "3"],
                                       ["scan", "--kind", "prime-power", "--max-n", "3"]))
     def test_output_into_missing_directory(self, tmp_path, capsys, argv):
@@ -218,6 +224,14 @@ class TestSubprocess:
             "import nvalue.polyring, nvalue.construct, nvalue.symdecomp\n"
             "import nvalue.newton, nvalue.conjectures\n"
             "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_cli_loads_no_scipy(self):
+        proc = run_python(
+            "import sys\n"
+            "import nvalue.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 

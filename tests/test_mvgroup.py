@@ -1,9 +1,12 @@
 import cmath
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
+from nvalue import mvgroup
 from nvalue.mvgroup import (
     RootFindingFailure,
     check_associativity,
@@ -21,6 +24,26 @@ def _disk_point(rng, radius=1.0):
     r = radius * math.sqrt(rng.random())
     t = 2 * math.pi * rng.random()
     return complex(r * math.cos(t), r * math.sin(t))
+
+
+def _clustered_pair(rng, tol):
+    # two multisets of 1-6 values drawn around a few centres, with offsets
+    # of about tol, so that both verdicts occur
+    size = rng.randint(1, 6)
+    centres = [complex(rng.randint(-2, 2), rng.randint(-2, 2))
+               for _ in range(rng.randint(1, 3))]
+
+    def draw():
+        offset = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        return rng.choice(centres) + offset * tol * rng.choice((0.5, 1, 2))
+
+    return [draw() for _ in range(size)], [draw() for _ in range(size)]
+
+
+def _some_bijection_pairs(a, b, tol):
+    return any(all(abs(p - q) <= tol * max(1, abs(p), abs(q))
+                   for p, q in zip(a, perm))
+               for perm in itertools.permutations(b))
 
 
 class TestMulN:
@@ -59,6 +82,16 @@ class TestMulN:
                     alt = [(a + cmath.exp(2j * cmath.pi * r / n) * b) ** n
                            for r in range(1, n + 1)]
                     assert eq_multiset(base, alt, 1e-9)
+
+    def test_cached_unity_is_bit_identical(self):
+        rng = random.Random(8)
+        for n in range(2, 17):
+            for _ in range(5):
+                xv, yv = _disk_point(rng), _disk_point(rng)
+                a, b = nth_root(xv, n), nth_root(yv, n)
+                inline = [(a + cmath.exp(2j * cmath.pi * r / n) * b) ** n
+                          for r in range(1, n + 1)]
+                assert mul_n(xv, yv, n) == inline
 
 
 class TestInv:
@@ -111,6 +144,53 @@ class TestEqMultiset:
 
     def test_empty(self):
         assert eq_multiset([], [], 1e-9)
+
+    def test_agrees_with_permutation_oracle(self):
+        rng = random.Random(9)
+        verdicts = set()
+        for _ in range(1500):
+            a, b = _clustered_pair(rng, 1e-7)
+            expected = _some_bijection_pairs(a, b, 1e-7)
+            assert eq_multiset(a, b, 1e-7) == expected, (a, b)
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("last, expected", ((3e-8 + 1j, True),
+                                                (3e-8 + 1.1j, False)))
+    def test_sorted_orders_do_not_pair(self, monkeypatch, last, expected):
+        # sorted by real part, 0j meets 3e-8 + 1j, so only the matching
+        # can find the bijection 0j <-> 5e-8, 6e-8 + 1j <-> 3e-8 + 1j
+        calls = []
+        matching = mvgroup._has_perfect_matching
+
+        def spy(adj):
+            calls.append(adj.shape)
+            return matching(adj)
+
+        monkeypatch.setattr(mvgroup, "_has_perfect_matching", spy)
+        assert eq_multiset([0j, 6e-8 + 1j], [5e-8 + 0j, last], 1e-7) is expected
+        assert calls == [(2, 2)]
+
+    @pytest.mark.parametrize("size", (256, 1024))
+    def test_large_cluster(self, size):
+        # one outlier breaks the sorted zip, so the matching sees a
+        # complete bipartite cluster of size - 1 values on each side
+        a = [1e-8 + 0j] * (size - 1) + [1j]
+        b = [0j] * (size - 1) + [1e-8 + 1j]
+        assert eq_multiset(a, b, 1e-7)
+        assert mvgroup._has_perfect_matching(np.ones((size, size), dtype=bool))
+
+    def test_accepts_whatever_min_cost_matching_accepts(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(10)
+        for _ in range(1500):
+            a, b = _clustered_pair(rng, 1e-7)
+            av, bv = np.asarray(a), np.asarray(b)
+            cost = np.abs(av[:, None] - bv[None, :])
+            rows, cols = optimize.linear_sum_assignment(cost)
+            scale = np.maximum(1.0, np.maximum(np.abs(av[rows]), np.abs(bv[cols])))
+            if np.all(cost[rows, cols] <= 1e-7 * scale):
+                assert eq_multiset(a, b, 1e-7), (a, b)
 
 
 class TestAssociativity:
