@@ -254,7 +254,8 @@ def build_pn_newton_identities(n: int) -> Polynomial:
             half.append(q)
         elem.append(half + half[:k - h][::-1])
     # insertion order (rising k, then i) fixes the floating-point sums of
-    # Polynomial.eval_complex, which the numeric axiom checks depend on
+    # Polynomial.eval_complex and mvgroup.pn_roots, which the numeric axiom
+    # checks depend on
     terms = {}
     for k in range(n + 1):
         for i in range(k + 1):

@@ -6,16 +6,18 @@ independent of the branch chosen.  Unit is 0, inverse is (-1)^n x.
 Multisets are equal when some bijection pairs their values within a
 scale-aware tolerance: the sorted orders are tried first, and an exact
 bipartite matching (Kuhn's augmenting paths) decides when they do not pair.
+numpy is imported inside the calls that use it, so that importing this
+module, as the CLI does for every command, does not load it.
 """
 
 from __future__ import annotations
 
 import cmath
+import warnings
 from functools import lru_cache
 
-import numpy as np
-
 from . import construct
+from .polyring import _to_complex
 
 
 class RootFindingFailure(ArithmeticError):
@@ -38,14 +40,22 @@ def mul_n(x: complex, y: complex, n: int) -> list[complex]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    return _mul(x, y, n, None, None)
+
+
+def _mul(x, y, n: int, a, b) -> list[complex]:
+    # mul_n for n >= 1, given the principal roots a of x and b of y where
+    # the caller has them already, None where not
     if n == 1:
         return [complex(x) + complex(y)]
     if x == 0:
         return [complex(y)] * n
     if y == 0:
         return [complex(x)] * n
-    a = nth_root(x, n)
-    b = nth_root(y, n)
+    if a is None:
+        a = nth_root(x, n)
+    if b is None:
+        b = nth_root(y, n)
     return [(a + w * b) ** n for w in _unity(n)]
 
 
@@ -74,6 +84,7 @@ def eq_multiset(a, b, tol: float) -> bool:
         return False
     if not a:
         return True
+    import numpy as np
     av = np.asarray(list(a), dtype=complex)
     bv = np.asarray(list(b), dtype=complex)
     if not (np.all(np.isfinite(av)) and np.all(np.isfinite(bv))):
@@ -85,6 +96,7 @@ def eq_multiset(a, b, tol: float) -> bool:
 
 def _close(p, q, tol: float):
     """The per-pair test, broadcast over numpy arrays."""
+    import numpy as np
     return np.abs(p - q) <= tol * np.maximum(1.0, np.maximum(np.abs(p), np.abs(q)))
 
 
@@ -95,6 +107,7 @@ def _has_perfect_matching(adj) -> bool:
     neighbour as soon as one is reached, so a cluster of equal values is
     matched in one step per row.
     """
+    import numpy as np
     size = len(adj)
     col_of_row = np.full(size, -1)
     row_of_col = np.full(size, -1)
@@ -133,21 +146,63 @@ def contains_zero(values, tol: float) -> bool:
 
 def check_associativity(x: complex, y: complex, z: complex, n: int, tol: float) -> bool:
     """Compare x*(y*z) against (x*y)*z as n^2-multisets."""
-    left = [w for inner in mul_n(y, z, n) for w in mul_n(x, inner, n)]
-    right = [w for inner in mul_n(x, y, n) for w in mul_n(inner, z, n)]
+    yz = mul_n(y, z, n)
+    a, c = nth_root(x, n), nth_root(z, n)     # each shared by n products
+    left = [w for inner in yz for w in _mul(x, inner, n, a, None)]
+    right = [w for inner in _mul(x, y, n, a, None) for w in _mul(inner, z, n, None, c)]
     return eq_multiset(left, right, tol)
 
 
 @lru_cache(maxsize=None)
-def _pn_z_coefficients(n: int):
-    # coefficient polynomials of z^0..z^n in p_n, each over (x, y)
-    return tuple(construct.build_pn(n).coefficients_in("z"))
+def _pn_z_rows(n: int):
+    """The coefficients of z^n, ..., z^0 in p_n, each as its terms
+    (i, j, c) for c x^i y^j in the builder's order, with c converted to
+    complex once; and whether some c is past double range."""
+    coefficients = reversed(construct.build_pn(n).coefficients_in("z"))
+    with warnings.catch_warnings():
+        # pn_roots warns on every call that meets such a c, not only here
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rows = tuple(tuple((i, j, _to_complex(c)) for (i, j), c in poly._terms.items())
+                     for poly in coefficients)
+    return rows, any(cmath.isinf(c) for row in rows for _, _, c in row)
+
+
+def _powers(v: complex, n: int) -> list[complex]:
+    # v**0, ..., v**n, each computed as Polynomial.eval_complex does; a
+    # power past double range becomes inf+infj
+    out = []
+    for e in range(n + 1):
+        try:
+            out.append(v ** e)
+        except OverflowError:
+            warnings.warn("evaluation overflowed double precision, using inf",
+                          RuntimeWarning, stacklevel=2)
+            out.append(complex(cmath.inf, cmath.inf))
+    return out
 
 
 def pn_roots(x: complex, y: complex, n: int) -> list[complex]:
-    """Numeric z-roots of p_n(. ; x, y) via the companion matrix."""
-    czs = _pn_z_coefficients(n)
-    desc = [czs[k].eval_complex((x, y)) for k in range(n, -1, -1)]
+    """Numeric z-roots of p_n(. ; x, y) via the companion matrix.
+
+    Each coefficient is summed term by term in the builder's order, with
+    the products Polynomial.eval_complex takes, so the bits are its bits.
+    """
+    import numpy as np
+    rows, past_double = _pn_z_rows(n)
+    if past_double:
+        warnings.warn("coefficient overflowed double precision, using inf",
+                      RuntimeWarning)
+    xs, ys = _powers(complex(x), n), _powers(complex(y), n)
+    desc = []
+    for row in rows:
+        total = 0j
+        for i, j, c in row:
+            if i:
+                c *= xs[i]
+            if j:
+                c *= ys[j]
+            total += c
+        desc.append(total)
     if not all(cmath.isfinite(c) for c in desc):
         raise RootFindingFailure("polynomial coefficients are not finite")
     try:

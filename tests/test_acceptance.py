@@ -51,6 +51,7 @@ def _clear_caches():
     construct.build_pn_newton_identities.cache_clear()
     construct.cyclotomic.cache_clear()
     construct._t_power_rows.cache_clear()
+    mvgroup._pn_z_rows.cache_clear()
     symdecomp.elementary.cache_clear()
 
 

@@ -235,6 +235,26 @@ class TestSubprocess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    def test_exact_commands_load_no_numpy(self):
+        proc = run_python(
+            "import contextlib, io, sys\n"
+            "import nvalue.mvgroup, nvalue.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['pn', '--n', '2']) == 0\n"
+            "print('numpy' in sys.modules)\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    def test_axioms_loads_numpy(self):
+        proc = run_python(
+            "import contextlib, io, sys\n"
+            "import nvalue.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['axioms', '--n', '2', '--samples', '1']) == 0\n"
+            "print('numpy' in sys.modules)\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\n"
+
     def test_benchmark_tracer_finds_what_it_wraps(self):
         # in a fresh interpreter, so that the wrappers reach no other test
         proc = run_python(
@@ -247,11 +267,13 @@ class TestSubprocess:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['newton', '--n', '3', '--format', 'json']) == 0\n"
             "    assert cli.main(['scan', '--kind', 'prime-power', '--max-n', '4']) == 0\n"
+            "    assert cli.main(['axioms', '--n', '2', '--samples', '1']) == 0\n"
             "print(json.dumps(tracer.calls))\n")
         assert proc.returncode == 0, proc.stderr
         calls = json.loads(proc.stdout)
         for span in ("construct.build_pn", "newton.newton_polytope",
-                     "conjectures.scan_prime_power"):
+                     "conjectures.scan_prime_power", "mvgroup.pn_roots",
+                     "mvgroup.eq_multiset"):
             assert calls.get(span, 0) > 0, span
 
     def test_module_invocation(self):

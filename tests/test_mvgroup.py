@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from nvalue import mvgroup
+from nvalue import construct, mvgroup
 from nvalue.mvgroup import (
     RootFindingFailure,
     check_associativity,
@@ -245,3 +245,30 @@ class TestRootsMatch:
     def test_overflow_reported_as_failure(self):
         with pytest.raises(RootFindingFailure), pytest.warns(RuntimeWarning):
             pn_roots(1e200, 1e200, 5)
+
+    def test_coefficient_bits_match_eval_complex(self, monkeypatch):
+        # the cached float table sums what Polynomial.eval_complex sums, in
+        # the builder's term order (TestTermOrder), so the bits agree
+        seen = []
+        roots = np.roots
+        monkeypatch.setattr(np, "roots", lambda v: seen.append(v) or roots(v))
+
+        def bits(values):
+            return [(v.real.hex(), v.imag.hex()) for v in values]
+
+        rng = random.Random(11)
+        for n in range(1, 47):
+            z_coefficients = construct.build_pn(n).coefficients_in("z")
+            for _ in range(4):
+                xv, yv = _disk_point(rng), _disk_point(rng)
+                seen.clear()
+                pn_roots(xv, yv, n)
+                expected = [c.eval_complex((xv, yv)) for c in reversed(z_coefficients)]
+                assert bits(seen[0]) == bits(expected), (n, xv, yv)
+
+    def test_past_double_range_warns_on_every_call(self):
+        # p_47 has a 1029-bit coefficient; the first call fills the cache
+        mvgroup._pn_z_rows.cache_clear()
+        for _ in range(2):
+            with pytest.raises(RootFindingFailure), pytest.warns(RuntimeWarning):
+                pn_roots(0.5, 0.25j, 47)
