@@ -5,5 +5,6 @@ elementary-symmetric basis, computes their Newton polytopes, checks the
 group axioms numerically, and scans coefficient conjectures.
 
 Each name lives in its defining module (``from nvalue.construct import
-build_pn``).  Only ``mvgroup``, and ``cli`` through it, loads numpy.
+build_pn``).  No command loads numpy; only ``mvgroup.pn_roots``, a root
+finder kept for cross-checks, imports it, inside the call.
 """

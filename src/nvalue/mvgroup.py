@@ -4,17 +4,23 @@ The product of x and y is the n-multiset [(x^(1/n) + eps^r y^(1/n))^n] over
 the n-th roots of unity eps^r, with principal-branch roots; the result is
 independent of the branch chosen.  Unit is 0, inverse is (-1)^n x.
 Multisets are equal when some bijection pairs their values within a
-scale-aware tolerance: the sorted orders are tried first, and an exact
-bipartite matching (Kuhn's augmenting paths) decides when they do not pair.
-numpy is imported inside the calls that use it, so that importing this
-module, as the CLI does for every command, does not load it.
+scale-aware tolerance: the orders sorted by real part are tried first, and
+an exact bipartite matching (Kuhn's augmenting paths) decides when they do
+not pair.  The z-roots of p_n are checked against the product by Vieta's
+formulas and a Newton step from each predicted root, with no root finding.
+No command loads numpy: only pn_roots, a companion-matrix root finder kept
+for cross-checks, imports it, inside the call.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
+import math
+import operator
 import warnings
-from functools import lru_cache
+from collections import defaultdict
+from functools import lru_cache, reduce
 
 from . import construct
 from .polyring import _to_complex
@@ -74,62 +80,101 @@ def eq_multiset(a, b, tol: float) -> bool:
     """Multiset equality: some bijection pairs every p in a with a q in b
     such that |p - q| <= tol * max(1, |p|, |q|).
 
-    The zipped sorted orders are tried first as the bijection; when some
-    pair fails, a perfect matching in the tolerance graph decides.  This
-    accepts every input a minimum-cost matching accepts, and also those
-    whose minimum-cost matching has one pair out of tolerance while another
-    bijection has none.
+    The zipped orders sorted by real part are tried first as the
+    bijection; when some pair fails, a perfect matching in the tolerance
+    graph decides.  This accepts every input a minimum-cost matching
+    accepts, and also those whose minimum-cost matching has one pair out of
+    tolerance while another bijection has none.
     """
     if len(a) != len(b):
         return False
     if not a:
         return True
-    import numpy as np
-    av = np.asarray(list(a), dtype=complex)
-    bv = np.asarray(list(b), dtype=complex)
-    if not (np.all(np.isfinite(av)) and np.all(np.isfinite(bv))):
-        return False
-    if np.all(_close(np.sort_complex(av), np.sort_complex(bv), tol)):
+    sa, sb = sorted(a, key=_REAL), sorted(b, key=_REAL)
+    # gaps |p - q| / (1 + |p|) that sum to at most tol / 4 put every pair
+    # within tolerance with room for rounding; a sum with inf or nan fails
+    gaps = map(operator.truediv, map(abs, map(operator.sub, sa, sb)),
+               map((1.0).__add__, map(abs, sa)))
+    if sum(gaps) <= tol / 4:
         return True
-    return _has_perfect_matching(_close(av[:, None], bv[None, :], tol))
+    if not all(map(cmath.isfinite, itertools.chain(a, b))):
+        return False
+    if all(map(_close(tol), sa, sb)):
+        return True
+    return _has_perfect_matching(_tolerance_graph(a, b, tol))
 
 
-def _close(p, q, tol: float):
-    """The per-pair test, broadcast over numpy arrays."""
-    import numpy as np
-    return np.abs(p - q) <= tol * np.maximum(1.0, np.maximum(np.abs(p), np.abs(q)))
+_REAL = operator.attrgetter("real")
+
+
+def _close(tol: float):
+    """The per-pair test |p - q| <= tol * max(1, |p|, |q|).  isclose tests
+    |p - q| <= max(tol * max(|p|, |q|), tol), which rounds the same."""
+    return lambda p, q: cmath.isclose(p, q, rel_tol=tol, abs_tol=tol)
+
+
+def _tolerance_graph(a, b, tol: float) -> list[list[int]]:
+    """For each value of a, the indices of the values of b within tolerance.
+
+    Candidates come from a grid of square cells of side tol * scale, where
+    scale is twice the largest modulus (at least 2): a pair within
+    tolerance is at most half a side apart, so even after rounding it lies
+    in the same or a neighbouring cell.  tol is taken as at least 2^-50,
+    which only widens the cells, so that no cell index is infinite.  Equal
+    values share one candidate list, so a cluster of repeated values costs
+    one search.
+    """
+    side = max(tol, 2.0 ** -50) * 2.0 * max(1.0, max(map(abs, a)), max(map(abs, b)))
+    close = _close(tol)
+
+    def cell(v):
+        return math.floor(v.real / side), math.floor(v.imag / side)
+
+    columns = defaultdict(list)            # value of b -> its indices
+    for v, q in enumerate(b):
+        columns[q].append(v)
+    cells = defaultdict(list)              # cell -> distinct values of b in it
+    for q in columns:
+        cells[cell(q)].append(q)
+    found = {}                             # value of a -> its candidates
+    for p in a:
+        if p not in found:
+            i, j = cell(p)
+            found[p] = [v for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                        for q in cells.get((i + di, j + dj), ())
+                        if close(p, q) for v in columns[q]]
+    return [found[p] for p in a]
 
 
 def _has_perfect_matching(adj) -> bool:
-    """Kuhn's augmenting paths on a square boolean biadjacency matrix.
+    """Kuhn's augmenting paths; row u may take the columns listed in
+    adj[u], and there are as many columns as rows.
 
     Each search is breadth-first without recursion, and takes a free
-    neighbour as soon as one is reached, so a cluster of equal values is
+    column as soon as one is reached, so a cluster of equal values is
     matched in one step per row.
     """
-    import numpy as np
     size = len(adj)
-    col_of_row = np.full(size, -1)
-    row_of_col = np.full(size, -1)
+    col_of_row = [-1] * size
+    row_of_col = [-1] * size
     for root in range(size):
-        parent = np.full(size, -1)    # row each column was reached from
-        seen = np.zeros(size, dtype=bool)
+        parent = {}                       # column -> row it was reached from
         frontier, end = [root], -1
         while frontier and end < 0:
             following = []
             for u in frontier:
-                reach = np.flatnonzero(adj[u] & ~seen)
-                seen[reach] = True
-                parent[reach] = u
-                free = reach[row_of_col[reach] < 0]
-                if free.size:
-                    end = int(free[0])
+                # no free column has been reached yet, so any is new
+                end = next((v for v in adj[u] if row_of_col[v] < 0), -1)
+                if end >= 0:
+                    parent[end] = u
                     break
-                following.extend(row_of_col[reach].tolist())
+                reach = [v for v in adj[u] if v not in parent]
+                parent.update(dict.fromkeys(reach, u))
+                following.extend(row_of_col[v] for v in reach)
             frontier = following
         if end < 0:
             return False
-        while end >= 0:               # flip the path back to the root
+        while end >= 0:                   # flip the path back to the root
             u = parent[end]
             previous = col_of_row[u]
             col_of_row[u], row_of_col[end] = end, u
@@ -214,10 +259,82 @@ def pn_roots(x: complex, y: complex, n: int) -> list[complex]:
     return [complex(r) for r in roots]
 
 
+@lru_cache(maxsize=None)
+def _pn_w_rows(n: int):
+    """p_n in w = z / 2^n, made monic: row k holds the terms (i, j, d) of
+    the coefficient of w^(n-k), one for each term c x^i y^j of the
+    coefficient of z^(n-k), in the builder's order, with d = c / 2^(nk)
+    correctly rounded.  Each d is at most C(n, k) in modulus, so no row
+    leaves double range at any n."""
+    coefficients = reversed(construct.build_pn(n).coefficients_in("z"))
+    return tuple(tuple((i, j, c / 2 ** (n * k)) for (i, j), c in poly._terms.items())
+                 for k, poly in enumerate(coefficients))
+
+
+def _monic(values) -> list:
+    # coefficients of prod (w - v) over values, from w^len(values) down
+    out = [1.0]
+    for v in values:
+        out = [c - v * d for c, d in zip(out + [0.0], [0.0] + out)]
+    return out
+
+
 def roots_match_pn(x: complex, y: complex, n: int, tol: float) -> bool:
-    """True iff the z-roots of p_n(.; x, y) equal inv(x)*inv(y) as multisets."""
+    """True iff the z-roots of p_n(.; x, y) equal inv(x)*inv(y) as multisets.
+
+    Decided without finding roots, in w = z / 2^n: P_k is row k of p_n
+    evaluated at (x, y), the coefficient of w^(n-k), and the predicted
+    roots r give w_r = r / 2^n and the expected coefficients V_k of
+    prod (w - w_r).  Two tests must hold.
+
+    Vieta: for every k, |P_k - V_k| <= tol * k * M_k + S_k, where M_k is
+    the coefficient of w^(n-k) in prod (w + max(1, |r|) / 2^n), so that
+    tol * k * M_k bounds, to first order, what moving each root r by
+    tol * max(1, |r|) does to V_k.
+
+    Newton: at every w_r, |P(w_r)| <= tol * max(1, |r|) / 2^n * |P'(w_r)|
+    + sum_k S_k |w_r|^(n-k), so that the Newton step from w_r, the first
+    order distance to the nearest root, is within r's tolerance.  Vieta
+    alone lets a root of a wrong p_n stray by several tolerances.
+
+    S_k = (4n + terms_k) * (2^-52 * T_k + 2^-1074) bounds the rounding of
+    P_k and of Horner's rule, with T_k the sum of the moduli of P_k's
+    terms; 2^-1074, the least subnormal, covers rows that fall below the
+    normal range.  For |x|, |y| <= 1, as `axioms` samples, each |r| is at
+    most 2^n; an input whose rows overflow raises OverflowError.
+    """
+    x, y = complex(x), complex(y)
+    unit = 2.0 ** -n
     target = mul_n(inv(x, n), inv(y, n), n)
-    return eq_multiset(pn_roots(x, y, n), target, tol)
+    xs, ys = _powers(x, n), _powers(y, n)
+    rows = [[d * xs[i] * ys[j] for i, j, d in row] for row in _pn_w_rows(n)]
+    got = list(map(sum, rows))
+    if not all(map(cmath.isfinite, got)):
+        raise OverflowError(f"p_{n} at ({x}, {y}) leaves double range")
+    roots = [r * unit for r in target]
+    radii = [max(1.0, abs(r)) * unit for r in target]
+    # each rounding term is computed only where the tolerance term falls short
+    for k, (terms, p, v, m) in enumerate(zip(rows, got, _monic(roots),
+                                             _monic([-m for m in radii]))):
+        error, allowed = abs(p - v), tol * k * m
+        if error > allowed and error > allowed + _rounding(terms, n):
+            return False
+    # Horner's rule at every w_r at once, for P and P'
+    value, slope = [0j] * n, [0j] * n
+    for p in got:
+        slope = list(map(operator.add, map(operator.mul, slope, roots), value))
+        value = list(map(operator.add, map(operator.mul, value, roots), itertools.repeat(p)))
+    for w, v, d, m in zip(roots, value, slope, radii):
+        error, allowed = abs(v), tol * m * abs(d)
+        if error > allowed and error > allowed + reduce(
+                lambda b, terms: b * abs(w) + _rounding(terms, n), rows, 0.0):
+            return False
+    return True
+
+
+def _rounding(terms, n: int) -> float:
+    # S_k for a row of p_n in w given as its terms at a point
+    return (4 * n + len(terms)) * (2.0 ** -52 * sum(map(abs, terms)) + 2.0 ** -1074)
 
 
 __all__ = [

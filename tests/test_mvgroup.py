@@ -3,7 +3,6 @@ import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 
 from nvalue import construct, mvgroup
@@ -164,12 +163,12 @@ class TestEqMultiset:
         matching = mvgroup._has_perfect_matching
 
         def spy(adj):
-            calls.append(adj.shape)
+            calls.append(adj)
             return matching(adj)
 
         monkeypatch.setattr(mvgroup, "_has_perfect_matching", spy)
         assert eq_multiset([0j, 6e-8 + 1j], [5e-8 + 0j, last], 1e-7) is expected
-        assert calls == [(2, 2)]
+        assert calls == [[[0], [1] if expected else []]]
 
     @pytest.mark.parametrize("size", (256, 1024))
     def test_large_cluster(self, size):
@@ -178,9 +177,10 @@ class TestEqMultiset:
         a = [1e-8 + 0j] * (size - 1) + [1j]
         b = [0j] * (size - 1) + [1e-8 + 1j]
         assert eq_multiset(a, b, 1e-7)
-        assert mvgroup._has_perfect_matching(np.ones((size, size), dtype=bool))
+        assert mvgroup._has_perfect_matching([range(size)] * size)
 
     def test_accepts_whatever_min_cost_matching_accepts(self):
+        np = pytest.importorskip("numpy")
         optimize = pytest.importorskip("scipy.optimize")
         rng = random.Random(10)
         for _ in range(1500):
@@ -221,6 +221,7 @@ class TestAssociativity:
 
 class TestRootsMatch:
     def test_p2_at_ones(self):
+        pytest.importorskip("numpy")
         roots = sorted(pn_roots(1, 1, 2), key=lambda w: w.real)
         assert abs(roots[0]) < 1e-9 and abs(roots[1] - 4) < 1e-9
         assert roots_match_pn(1, 1, 2, 1e-6)
@@ -228,6 +229,7 @@ class TestRootsMatch:
     def test_restriction_roots_coincide(self):
         # y = 0 makes every root equal to (-1)^n x; the n-fold root is
         # only recoverable to eps^(1/n), hence the loose tolerance
+        pytest.importorskip("numpy")
         rng = random.Random(7)
         for n in range(1, 6):
             xv = _disk_point(rng)
@@ -243,12 +245,14 @@ class TestRootsMatch:
             assert roots_match_pn(xv, yv, n, 1e-6)
 
     def test_overflow_reported_as_failure(self):
+        pytest.importorskip("numpy")
         with pytest.raises(RootFindingFailure), pytest.warns(RuntimeWarning):
             pn_roots(1e200, 1e200, 5)
 
     def test_coefficient_bits_match_eval_complex(self, monkeypatch):
         # the cached float table sums what Polynomial.eval_complex sums, in
         # the builder's term order (TestTermOrder), so the bits agree
+        np = pytest.importorskip("numpy")
         seen = []
         roots = np.roots
         monkeypatch.setattr(np, "roots", lambda v: seen.append(v) or roots(v))
@@ -268,7 +272,61 @@ class TestRootsMatch:
 
     def test_past_double_range_warns_on_every_call(self):
         # p_47 has a 1029-bit coefficient; the first call fills the cache
+        pytest.importorskip("numpy")
         mvgroup._pn_z_rows.cache_clear()
         for _ in range(2):
             with pytest.raises(RootFindingFailure), pytest.warns(RuntimeWarning):
                 pn_roots(0.5, 0.25j, 47)
+
+    @pytest.mark.parametrize("n", (47, 64))
+    def test_past_double_range(self, n):
+        # every row of p_n in z / 2^n fits a double, at any n
+        rng = random.Random(300 + n)
+        for _ in range(5):
+            xv, yv = _disk_point(rng), _disk_point(rng)
+            assert roots_match_pn(xv, yv, n, 1e-7)
+
+    def test_multiplicities_decided_by_vieta(self, monkeypatch):
+        # at x = y = 1 the roots of p_4 are -4, -4, 0 and 16; a prediction
+        # with 0 twice and -4 once has a root of p_4 at every value, so the
+        # Newton steps pass and only the coefficients tell them apart
+        assert roots_match_pn(1, 1, 4, 1e-7)
+        monkeypatch.setattr(mvgroup, "mul_n", lambda x, y, n: [-4, 0, 0, 16])
+        assert not roots_match_pn(1, 1, 4, 1e-7)
+
+    def test_overflowing_input_is_an_error(self):
+        with pytest.raises(OverflowError), pytest.warns(RuntimeWarning):
+            roots_match_pn(1e200, 1e200, 5, 1e-7)
+
+    def test_rejects_every_mutant_root_finding_rejects(self, monkeypatch):
+        # p_n with one coefficient of its middle z-row changed, by +-1 or by
+        # about 1e-3 of itself, on its largest and on its first term: where
+        # the roots np.roots finds do not match the product, Vieta and
+        # Newton must reject too (Vieta alone misses n = 7 and 8 at +-1)
+        pytest.importorskip("numpy")
+        build_pn = construct.build_pn
+        caught = set()
+        try:
+            for n in range(2, 25):
+                pn = build_pn(n)
+                middle = [(e, c) for e, c in pn.sorted_terms() if e[2] == n // 2]
+                for spot in {max(middle, key=lambda t: abs(t[1]))[0], middle[0][0]}:
+                    c = pn.coefficient(spot)
+                    for changed in (c + 1, c - 1, c + (c // 1000 or 1)):
+                        mutant = pn.map_terms(lambda e, c, spot=spot, changed=changed:
+                                              changed if e == spot else c)
+                        monkeypatch.setattr(construct, "build_pn", lambda m, n=n, mutant=mutant:
+                                            mutant if m == n else build_pn(m))
+                        mvgroup._pn_z_rows.cache_clear()
+                        mvgroup._pn_w_rows.cache_clear()
+                        rng = random.Random(n)
+                        for _ in range(40):
+                            xv, yv = _disk_point(rng), _disk_point(rng)
+                            target = mul_n(inv(xv, n), inv(yv, n), n)
+                            if not eq_multiset(pn_roots(xv, yv, n), target, 1e-7):
+                                caught.add(n)
+                                assert not roots_match_pn(xv, yv, n, 1e-7), (n, spot, changed)
+        finally:
+            mvgroup._pn_z_rows.cache_clear()
+            mvgroup._pn_w_rows.cache_clear()
+        assert caught == set(range(2, 25))
