@@ -6,8 +6,9 @@ independent of the branch chosen.  Unit is 0, inverse is (-1)^n x.
 Multisets are equal when some bijection pairs their values within a
 scale-aware tolerance: the orders sorted by real part are tried first, and
 an exact bipartite matching (Kuhn's augmenting paths) decides when they do
-not pair.  The z-roots of p_n are checked against the product by Vieta's
-formulas and a Newton step from each predicted root, with no root finding.
+not pair.  The z-roots of p_n are checked against the product with no root
+finding, by Vieta's formulas and the Weierstrass correction at each
+predicted root, each value taken at a scale at which it does not underflow.
 No command loads numpy: only pn_roots, a companion-matrix root finder kept
 for cross-checks, imports it, inside the call.
 """
@@ -20,7 +21,8 @@ import math
 import operator
 import warnings
 from collections import defaultdict
-from functools import lru_cache, reduce
+from functools import lru_cache
+from itertools import repeat
 
 from . import construct
 from .polyring import _to_complex
@@ -88,20 +90,12 @@ def eq_multiset(a, b, tol: float) -> bool:
     """
     if len(a) != len(b):
         return False
-    if not a:
-        return True
-    sa, sb = sorted(a, key=_REAL), sorted(b, key=_REAL)
-    # gaps |p - q| / (1 + |p|) that sum to at most tol / 4 put every pair
-    # within tolerance with room for rounding; a sum with inf or nan fails
-    gaps = map(operator.truediv, map(abs, map(operator.sub, sa, sb)),
-               map((1.0).__add__, map(abs, sa)))
-    if sum(gaps) <= tol / 4:
-        return True
     if not all(map(cmath.isfinite, itertools.chain(a, b))):
-        return False
-    if all(map(_close(tol), sa, sb)):
+        return False                      # isclose(inf, inf) holds
+    close = _close(tol)
+    if all(map(close, sorted(a, key=_REAL), sorted(b, key=_REAL))):
         return True
-    return _has_perfect_matching(_tolerance_graph(a, b, tol))
+    return _has_perfect_matching(_tolerance_graph(a, b, close))
 
 
 _REAL = operator.attrgetter("real")
@@ -113,36 +107,17 @@ def _close(tol: float):
     return lambda p, q: cmath.isclose(p, q, rel_tol=tol, abs_tol=tol)
 
 
-def _tolerance_graph(a, b, tol: float) -> list[list[int]]:
-    """For each value of a, the indices of the values of b within tolerance.
-
-    Candidates come from a grid of square cells of side tol * scale, where
-    scale is twice the largest modulus (at least 2): a pair within
-    tolerance is at most half a side apart, so even after rounding it lies
-    in the same or a neighbouring cell.  tol is taken as at least 2^-50,
-    which only widens the cells, so that no cell index is infinite.  Equal
-    values share one candidate list, so a cluster of repeated values costs
-    one search.
-    """
-    side = max(tol, 2.0 ** -50) * 2.0 * max(1.0, max(map(abs, a)), max(map(abs, b)))
-    close = _close(tol)
-
-    def cell(v):
-        return math.floor(v.real / side), math.floor(v.imag / side)
-
+def _tolerance_graph(a, b, close) -> list[list[int]]:
+    """For each value of a, the indices of the values of b within
+    tolerance.  Equal values share one candidate list, so a cluster of
+    repeated values costs one comparison per distinct pair."""
     columns = defaultdict(list)            # value of b -> its indices
     for v, q in enumerate(b):
         columns[q].append(v)
-    cells = defaultdict(list)              # cell -> distinct values of b in it
-    for q in columns:
-        cells[cell(q)].append(q)
     found = {}                             # value of a -> its candidates
     for p in a:
         if p not in found:
-            i, j = cell(p)
-            found[p] = [v for di in (-1, 0, 1) for dj in (-1, 0, 1)
-                        for q in cells.get((i + di, j + dj), ())
-                        if close(p, q) for v in columns[q]]
+            found[p] = [v for q, vs in columns.items() if close(p, q) for v in vs]
     return [found[p] for p in a]
 
 
@@ -260,81 +235,179 @@ def pn_roots(x: complex, y: complex, n: int) -> list[complex]:
 
 
 @lru_cache(maxsize=None)
-def _pn_w_rows(n: int):
-    """p_n in w = z / 2^n, made monic: row k holds the terms (i, j, d) of
-    the coefficient of w^(n-k), one for each term c x^i y^j of the
-    coefficient of z^(n-k), in the builder's order, with d = c / 2^(nk)
-    correctly rounded.  Each d is at most C(n, k) in modulus, so no row
-    leaves double range at any n."""
-    coefficients = reversed(construct.build_pn(n).coefficients_in("z"))
-    return tuple(tuple((i, j, c / 2 ** (n * k)) for (i, j), c in poly._terms.items())
-                 for k, poly in enumerate(coefficients))
+def _pn_unit_rows(n: int):
+    """The coefficients of z^n, ..., z^0 in p_n, each as (b, terms): the
+    term c x^i y^j, in the builder's order, as (i, j, c / 2^b) correctly
+    rounded, with 2^b above every |c| of the row.  Each entry is at most 1
+    in modulus, so no row leaves double range at any n; one below 2^-1074
+    of its row's largest becomes 0."""
+    rows = []
+    for poly in reversed(construct.build_pn(n).coefficients_in("z")):
+        b = max(map(abs, poly._terms.values())).bit_length()
+        rows.append((b, tuple((i, j, c / 2 ** b) for (i, j), c in poly._terms.items())))
+    return tuple(rows)
 
 
-def _monic(values) -> list:
-    # coefficients of prod (w - v) over values, from w^len(values) down
+def _monic(values, factors=None) -> list:
+    # coefficients of prod (z - v) over values, from z^len(values) down,
+    # row k multiplied by factors[1] * ... * factors[k] where given
     out = [1.0]
     for v in values:
-        out = [c - v * d for c, d in zip(out + [0.0], [0.0] + out)]
+        shifted = [0.0] + out
+        if factors:
+            shifted = map(operator.mul, shifted, factors)
+        out = list(map(operator.sub, out + [0.0], map(operator.mul, shifted, repeat(v))))
     return out
+
+
+def _ldexp(v: complex, e: int) -> complex:
+    return complex(math.ldexp(v.real, e), math.ldexp(v.imag, e))
 
 
 def roots_match_pn(x: complex, y: complex, n: int, tol: float) -> bool:
     """True iff the z-roots of p_n(.; x, y) equal inv(x)*inv(y) as multisets.
 
-    Decided without finding roots, in w = z / 2^n: P_k is row k of p_n
-    evaluated at (x, y), the coefficient of w^(n-k), and the predicted
-    roots r give w_r = r / 2^n and the expected coefficients V_k of
-    prod (w - w_r).  Two tests must hold.
+    Decided without finding roots.  With r the predicted roots, Q(z) the
+    product of (z - r) and D = p_n - Q, two tests must hold, each up to a
+    bound S_k on the rounding of D_k, the coefficient of z^(n-k).
 
-    Vieta: for every k, |P_k - V_k| <= tol * k * M_k + S_k, where M_k is
-    the coefficient of w^(n-k) in prod (w + max(1, |r|) / 2^n), so that
-    tol * k * M_k bounds, to first order, what moving each root r by
-    tol * max(1, |r|) does to V_k.
+    Vieta: for every k, |D_k| <= tol * k * M_k + S_k, with M_k the
+    coefficient of z^(n-k) in prod (z + max(1, |r|)): tol * k * M_k bounds,
+    to first order, what moving each r by tol * max(1, |r|) does to Q's
+    coefficient.  This test counts multiplicities.
 
-    Newton: at every w_r, |P(w_r)| <= tol * max(1, |r|) / 2^n * |P'(w_r)|
-    + sum_k S_k |w_r|^(n-k), so that the Newton step from w_r, the first
-    order distance to the nearest root, is within r's tolerance.  Vieta
-    alone lets a root of a wrong p_n stray by several tolerances.
+    Weierstrass: at every r, |D(r)| <= tol * max(1, |r|) * |Q'(r)| + R_r,
+    with R_r the sum over k of S_k |r|^(n-k).  D(r) / Q'(r), where Q'(r) is
+    the product of r - s over the other predicted roots s, is the
+    first-order distance from r to the root of p_n that stands for it.  (The
+    Newton step D(r) / p_n'(r) is shorter by up to the number of roots
+    clustered near r, so it misses a root moved away from such a cluster.)
 
-    S_k = (4n + terms_k) * (2^-52 * T_k + 2^-1074) bounds the rounding of
-    P_k and of Horner's rule, with T_k the sum of the moduli of P_k's
-    terms; 2^-1074, the least subnormal, covers rows that fall below the
-    normal range.  For |x|, |y| <= 1, as `axioms` samples, each |r| is at
-    most 2^n; an input whose rows overflow raises OverflowError.
+    S_k = 2^-52 * ((4n + terms_k) * T_k + 2n * E_k + 4n * |D_k|), with T_k
+    the sum of the moduli of p_n's terms in row k and E_k the coefficient of
+    z^(n-k) in prod (z + |r|).  M, E and S are computed only where a test
+    fails without them; M_k >= |Q_k| stands in for M_k until then.
+
+    The predicted roots range from about 2^n down to far below 2^-1074, so
+    no one scale holds every row and every value.  Row k is scaled by the
+    product of the k largest |r|, as powers of two, which keeps the rows of
+    p_n, Q, M and E in double range, and D(r), R_r and Q'(r) are evaluated
+    at the scale of D's largest term at r, so that nothing the tests
+    compare underflows.  Where the product of |r| / max |r| stays above
+    about 2^(n - 900), one power of two scales every root instead.  x and y
+    are scaled by a power of two first: row k is homogeneous of degree k.
     """
     x, y = complex(x), complex(y)
-    unit = 2.0 ** -n
     target = mul_n(inv(x, n), inv(y, n), n)
-    xs, ys = _powers(x, n), _powers(y, n)
-    rows = [[d * xs[i] * ys[j] for i, j, d in row] for row in _pn_w_rows(n)]
-    got = list(map(sum, rows))
-    if not all(map(cmath.isfinite, got)):
-        raise OverflowError(f"p_{n} at ({x}, {y}) leaves double range")
-    roots = [r * unit for r in target]
-    radii = [max(1.0, abs(r)) * unit for r in target]
-    # each rounding term is computed only where the tolerance term falls short
-    for k, (terms, p, v, m) in enumerate(zip(rows, got, _monic(roots),
-                                             _monic([-m for m in radii]))):
-        error, allowed = abs(p - v), tol * k * m
-        if error > allowed and error > allowed + _rounding(terms, n):
+    if not all(map(cmath.isfinite, target)):
+        raise OverflowError(f"the product of {x} and {y} is not finite")
+    # |r| < 2^e for each predicted root; 2^-1000 stands in for smaller ones
+    exps = [max(math.frexp(abs(r))[1], -1000) for r in target]
+    top = max(exps)
+    shared = sum(exps) >= top * n - 900 + n
+    if shared:
+        exps = [top] * n
+    ranked = sorted(exps, reverse=True)
+    row_exp = list(itertools.accumulate(ranked, initial=0))
+    scales = [math.ldexp(1.0, e) for e in exps]
+    us = list(map(operator.truediv, target, scales))
+    # Q, M and E are scaled as p_n's rows are: when shared by taking each
+    # root over 2^top, else row by row, with the largest roots first so
+    # that no partial row underflows
+    if shared:
+        order, factors, floor = sorted(us, key=abs, reverse=True), None, 1.0 / scales[0]
+    else:
+        order, floor = sorted(target, key=abs, reverse=True), 1.0
+        factors = [1.0] + [math.ldexp(1.0, -e) for e in ranked]
+    lift = math.frexp(max(abs(x), abs(y)))[1]
+    xs, ys = _powers(_ldexp(x, -lift), n), _powers(_ldexp(y, -lift), n)
+    rows, got = [], []
+    try:
+        for k, (b, row) in enumerate(_pn_unit_rows(n)):
+            terms = [d * xs[i] * ys[j] for i, j, d in row]
+            e = b + lift * k - row_exp[k]
+            rows.append((terms, e))
+            got.append(_ldexp(sum(terms), e))
+    except OverflowError:
+        return False                  # a row of p_n far above what r allow
+    expected = _monic(order, factors)
+    diff = list(map(operator.sub, got, expected))
+    rounding = None
+    if not all(map(operator.le, map(abs, diff), map(
+            operator.mul, map(abs, expected), map(operator.mul, repeat(tol), range(n + 1))))):
+        radii = _monic([-max(floor, abs(r)) for r in order], factors)
+        rounding = _rounding(rows, diff, order, factors, n)
+        if not all(abs(d) <= tol * k * m + s
+                   for k, (d, m, s) in enumerate(zip(diff, radii, rounding))):
             return False
-    # Horner's rule at every w_r at once, for P and P'
-    value, slope = [0j] * n, [0j] * n
-    for p in got:
-        slope = list(map(operator.add, map(operator.mul, slope, roots), value))
-        value = list(map(operator.add, map(operator.mul, value, roots), itertools.repeat(p)))
-    for w, v, d, m in zip(roots, value, slope, radii):
-        error, allowed = abs(v), tol * m * abs(d)
-        if error > allowed and error > allowed + reduce(
-                lambda b, terms: b * abs(w) + _rounding(terms, n), rows, 0.0):
-            return False
-    return True
+    if shared:
+        # row k is scaled by 2^(top k), so one Horner sum gives D at every r
+        values = [0j] * n
+        for d in diff:
+            values = list(map(operator.add, map(operator.mul, values, us), repeat(d)))
+        steps = repeat([1.0] * (n + 1))
+    else:
+        steps = [_steps(e, exps, ranked, n) for e in exps]
+        values = list(map(_horner, steps, repeat(diff), us))
+    # tol * max(1, |r|) * |Q'(r)|, at the scale of D at r
+    sizes = list(map(abs, us))
+    radius = map(max, map(operator.truediv, repeat(tol), scales),
+                 map(operator.mul, sizes, repeat(tol)))
+    allowed = list(map(operator.mul, radius, _slopes(target, scales, us, shared, n)))
+    if all(map(operator.le, map(abs, values), allowed)):
+        return True
+    rounding = rounding or _rounding(rows, diff, order, factors, n)
+    return all(abs(value) <= bound + _horner(step, rounding, size)
+               for value, bound, step, size in zip(values, allowed, steps, sizes))
 
 
-def _rounding(terms, n: int) -> float:
-    # S_k for a row of p_n in w given as its terms at a point
-    return (4 * n + len(terms)) * (2.0 ** -52 * sum(map(abs, terms)) + 2.0 ** -1074)
+def _rounding(rows, diff, order, factors, n: int) -> list[float]:
+    # S_k for each row k of p_n, at the rows' scale
+    moduli = _monic([-abs(r) for r in order], factors)
+    return [_EPS * ((4 * n + len(terms)) * math.ldexp(sum(map(abs, terms)), e)
+                    + 2 * n * m + 4 * n * abs(d))
+            for (terms, e), d, m in zip(rows, diff, moduli)]
+
+
+def _slopes(target, scales, us, shared: bool, n: int) -> list[float]:
+    """|Q'(r)| over the scale of D at r, for each predicted root r = u 2^e:
+    the product of |r - s| / max(2^e, 2^f) over the other roots s = v 2^f,
+    each factor at most 2; with one scale for every root, of |u - v|."""
+    if shared:
+        gaps = map(abs, map(operator.sub, _each(us, n), us * n))
+    else:
+        gaps = map(operator.truediv,
+                   map(abs, map(operator.sub, _each(target, n), target * n)),
+                   map(max, _each(scales, n), scales * n))
+    flat = list(gaps)
+    flat[::n + 1] = [1.0] * n                # leave out s = r itself
+    return [math.prod(flat[j:j + n]) for j in range(0, n * n, n)]
+
+
+def _each(values, n: int):
+    # every value repeated n times in a row
+    return itertools.chain.from_iterable(zip(*[values] * n))
+
+
+def _steps(e: int, exps, ranked, n: int) -> list[float]:
+    """The factors 2^(e (n - k) + row_exp[k] - P) with which row k enters
+    D(r) for |r| < 2^e, P the largest of these exponents, so that D's
+    largest term at r is taken at unit size: each exponent is the one
+    before plus the k-th largest exponent of a root, minus e."""
+    peak = sum(map(max, repeat(e), exps))
+    return list(map(math.ldexp, repeat(1.0), itertools.accumulate(
+        map(operator.sub, ranked, repeat(e)), initial=e * n - peak)))
+
+
+def _horner(steps, coefficients, v):
+    # the sum over k of coefficients[k] * steps[k] * v^(n - k)
+    total = 0.0
+    for c, s in zip(steps, coefficients):
+        total = total * v + s * c
+    return total
+
+
+_EPS = 2.0 ** -52
 
 
 __all__ = [

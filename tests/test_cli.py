@@ -154,7 +154,7 @@ class TestAxiomsCommand:
         pytest.param(["--n", "96", "--samples", "20"], id="96", marks=pytest.mark.slow)))
     def test_past_double_range(self, capsys, argv):
         # p_47's largest coefficient has 1029 bits, past double range; the
-        # roots are checked in z / 2^n, where every coefficient fits
+        # roots are checked with each row of p_n scaled by the roots' sizes
         code, out = run_cli(capsys, "axioms", *argv)
         assert code == 0
         assert out.strip().endswith("overall: pass")

@@ -280,23 +280,50 @@ class TestRootsMatch:
 
     @pytest.mark.parametrize("n", (47, 64))
     def test_past_double_range(self, n):
-        # every row of p_n in z / 2^n fits a double, at any n
+        # p_47 has a 1029-bit coefficient; p_n's rows are scaled by the
+        # predicted roots, so none leaves double range
         rng = random.Random(300 + n)
         for _ in range(5):
             xv, yv = _disk_point(rng), _disk_point(rng)
             assert roots_match_pn(xv, yv, n, 1e-7)
 
+    @pytest.mark.parametrize("n", (16, 40, 64))
+    def test_rejects_one_root_moved_out_of_tolerance(self, monkeypatch, n):
+        # about a third of the roots are below 1 in modulus, many far below
+        # 2^-n, where a sum at one scale underflows; each is checked to its
+        # own tolerance, and so is a large root
+        rng = random.Random(400 + n)
+        for _ in range(5):
+            xv, yv = _disk_point(rng), _disk_point(rng)
+            target = mul_n(inv(xv, n), inv(yv, n), n)
+            small = [i for i, r in enumerate(target) if abs(r) < 1]
+            picks = {small[0], min(small, key=lambda i: abs(target[i])),
+                     max(range(n), key=lambda i: abs(target[i]))}
+            for i, step in itertools.product(picks, (10, 10j, -3)):
+                moved = list(target)
+                moved[i] += step * 1e-7 * max(1.0, abs(target[i]))
+                monkeypatch.setattr(mvgroup, "mul_n", lambda x, y, m, moved=moved: moved)
+                assert not roots_match_pn(xv, yv, n, 1e-7), (i, target[i], step)
+            monkeypatch.setattr(mvgroup, "mul_n", mul_n)
+            assert roots_match_pn(xv, yv, n, 1e-7)
+
     def test_multiplicities_decided_by_vieta(self, monkeypatch):
         # at x = y = 1 the roots of p_4 are -4, -4, 0 and 16; a prediction
         # with 0 twice and -4 once has a root of p_4 at every value, so the
-        # Newton steps pass and only the coefficients tell them apart
+        # Weierstrass test passes and only the coefficients tell them apart
         assert roots_match_pn(1, 1, 4, 1e-7)
         monkeypatch.setattr(mvgroup, "mul_n", lambda x, y, n: [-4, 0, 0, 16])
         assert not roots_match_pn(1, 1, 4, 1e-7)
 
-    def test_overflowing_input_is_an_error(self):
-        with pytest.raises(OverflowError), pytest.warns(RuntimeWarning):
-            roots_match_pn(1e200, 1e200, 5, 1e-7)
+    def test_scale_free(self):
+        # row k of p_n is homogeneous of degree k in x and y, so both are
+        # scaled by a power of two first; only a product past double range
+        # is an error
+        for n in (5, 16):
+            assert roots_match_pn(1e200, 3e199j, n, 1e-7)
+            assert roots_match_pn(1e-200, -3e-201j, n, 1e-7)
+        with pytest.raises(OverflowError):
+            roots_match_pn(1e306, 1e306, 16, 1e-7)
 
     def test_rejects_every_mutant_root_finding_rejects(self, monkeypatch):
         # p_n with one coefficient of its middle z-row changed, by +-1 or by
@@ -318,7 +345,7 @@ class TestRootsMatch:
                         monkeypatch.setattr(construct, "build_pn", lambda m, n=n, mutant=mutant:
                                             mutant if m == n else build_pn(m))
                         mvgroup._pn_z_rows.cache_clear()
-                        mvgroup._pn_w_rows.cache_clear()
+                        mvgroup._pn_unit_rows.cache_clear()
                         rng = random.Random(n)
                         for _ in range(40):
                             xv, yv = _disk_point(rng), _disk_point(rng)
@@ -328,5 +355,5 @@ class TestRootsMatch:
                                 assert not roots_match_pn(xv, yv, n, 1e-7), (n, spot, changed)
         finally:
             mvgroup._pn_z_rows.cache_clear()
-            mvgroup._pn_w_rows.cache_clear()
+            mvgroup._pn_unit_rows.cache_clear()
         assert caught == set(range(2, 25))
