@@ -329,7 +329,7 @@ def roots_match_pn(x: complex, y: complex, n: int, tol: float) -> bool:
             rows.append((terms, e))
             got.append(_ldexp(sum(terms), e))
     except OverflowError:
-        return False                  # a row of p_n far above what r allow
+        return False          # a row of p_n far above what the roots allow
     expected = _monic(order, factors)
     diff = list(map(operator.sub, got, expected))
     rounding = None
