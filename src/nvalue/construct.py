@@ -15,12 +15,14 @@ provided and must agree exactly:
   for (-1)^n x, (-1)^n y.
 * ``build_pn_newton_identities`` computes the power sums of the n roots
   in closed form and converts them to elementary symmetric functions via
-  Newton's identities on integer coefficient rows, dividing exactly.
+  Newton's identities, dividing exactly.  Each e_k is a symmetric binary
+  form, kept as its integer row in s = x + y and p = xy, where a product
+  is a plain full convolution that needs no truncation or mirroring.
   The rows stop at k = floor(2n/3) + 1: every coefficient of p_n is read
-  from a row up to floor(2n/3).  Each row is a palindrome, so only its first
-  half is computed and the rest mirrored.  The full polynomial is then
-  filled term by term, each term reading the coefficient at its sorted
-  exponent; p_n is symmetric, so that is the same number.
+  from a row up to floor(2n/3).  Each row is then converted back to its
+  half row in x, y, and the full polynomial is filled term by term, each
+  term reading the coefficient at its sorted exponent; p_n is symmetric,
+  so that is the same number.
 
 Working modulo Phi_n rather than t^n - 1 is essential: modulo t^n - 1 the
 product keeps contributions from every divisor of n and is not constant
@@ -33,7 +35,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .polyring import NonIntegralCoefficient, Polynomial
+from .polyring import NonIntegralCoefficient, Polynomial, half_row_to_sp, sp_to_half_row
 
 _UVZ = ("u", "v", "z")
 _XYZ = ("x", "y", "z")
@@ -205,9 +207,14 @@ def power_sum(n: int, m: int) -> Polynomial:
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     sign = -1 if (n * m) % 2 else 1
-    terms = {}
-    for i in range(m + 1):
-        terms[(m - i, i)] = sign * n * math.comb(n * m, n * i)
+    # C(nm, ni + n) = C(nm, ni) * perm(nm - ni, n) / perm(ni + n, n), exactly;
+    # one math.comb per entry costs about 15 times as much at n = 96
+    c = sign * n
+    terms = {(m, 0): c}
+    for i in range(1, m + 1):
+        a = n * (i - 1)
+        c = c * math.perm(n * m - a, n) // math.perm(a + n, n)
+        terms[(m - i, i)] = c
     return Polynomial._raw(_XY, terms)
 
 
@@ -215,44 +222,49 @@ def power_sum(n: int, m: int) -> Polynomial:
 def build_pn_newton_identities(n: int) -> Polynomial:
     """p_n(z; x, y) via power sums and Newton's identities.
 
-    Every e_k of the n roots is homogeneous of degree k in (x, y), so it is
-    kept as the k+1 integers of x^(k-i) y^i.  It satisfies
-    k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} P_i; the division by k is exact
-    and raises NonIntegralCoefficient otherwise.
+    Every e_k of the n roots is a symmetric binary form of degree k, so it
+    is kept as its floor(k/2) + 1 coefficients at s^(k-2b) p^b, s = x + y
+    and p = xy.  It satisfies k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} P_i,
+    and s^a p^b s^c p^d = s^(a+c) p^(b+d), so each right side is a full
+    convolution of rows in b.  The division by k is exact, in this basis
+    as in the monomial one, and raises NonIntegralCoefficient otherwise.
+    Each power sum is converted to s, p once and each e_k back to its
+    half row, the coefficients of x^(k-i) y^i for i <= k/2.
     p_n = sum_k (-1)^k e_k z^(n-k).
 
     p_n is symmetric in (x, y, z), so the coefficient of each term is the
     one at its sorted exponent (k1, k2, k3), k1 >= k2 >= k3: that of
-    x^k2 y^k3 z^k1, which is (-1)^(n-k1) times entry k3 of e_(n-k1).  As
-    k1 >= n/3, no row past floor(2n/3) is read, and the identities stop at
-    k = floor(2n/3) + 1.  Each row is a palindrome (x <-> y), so only its
-    first floor(k/2) + 1 entries are computed, from the same entries of
-    the convolution; the rest are mirrored.
+    x^k2 y^k3 z^k1, which is (-1)^(n-k1) times entry k3 of e_(n-k1)'s
+    half row.  As k1 >= n/3, no row past floor(2n/3) is read, and the
+    identities stop at k = floor(2n/3) + 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     top = min(n, 2 * n // 3 + 1)
-    # P_m has all m+1 terms; lex-descending order lists x^(m-i) y^i by rising i
-    psums = [None] + [[c for _, c in power_sum(n, m).sorted_terms()]
-                      for m in range(1, top + 1)]
+    # P_m has all m+1 terms; lex-descending order lists x^(m-i) y^i by rising
+    # i.  The sign (-1)^(m-1) of the identities is folded into the row.
+    psums = [None]
+    for m in range(1, top + 1):
+        half = [c for _, c in power_sum(n, m).sorted_terms()][:m // 2 + 1]
+        sp = half_row_to_sp(half, m)
+        psums.append(sp if m % 2 else [-c for c in sp])
     elem = [[1]]
     for k in range(1, top + 1):
-        h = k // 2
-        acc = [0] * (h + 1)
+        acc = [0] * (k // 2 + 1)
         for i in range(1, k + 1):
-            sign = 1 if i % 2 else -1
-            for a, ca in enumerate(elem[k - i][:h + 1]):
-                ca *= sign
-                for b, cb in enumerate(psums[i][:h + 1 - a]):
-                    acc[a + b] += ca * cb
-        half = []
-        for i, c in enumerate(acc):
+            ps = psums[i]
+            for a, ca in enumerate(elem[k - i]):
+                for b, cb in enumerate(ps, a):
+                    acc[b] += ca * cb
+        row = []
+        for b, c in enumerate(acc):
             q, r = divmod(c, k)
             if r:
                 raise NonIntegralCoefficient(
-                    f"e_{k} coefficient {c} of x^{k - i} y^{i} is not divisible by {k}")
-            half.append(q)
-        elem.append(half + half[:k - h][::-1])
+                    f"e_{k} coefficient {c} of s^{k - 2 * b} p^{b} is not divisible by {k}")
+            row.append(q)
+        elem.append(row)
+    half_rows = [sp_to_half_row(row, k) for k, row in enumerate(elem)]
     # insertion order (rising k, then i) fixes the floating-point sums of
     # Polynomial.eval_complex and mvgroup.pn_roots, which the numeric axiom
     # checks depend on
@@ -261,7 +273,7 @@ def build_pn_newton_identities(n: int) -> Polynomial:
         for i in range(k + 1):
             e = (k - i, i, n - k)
             k1, _, k3 = sorted(e, reverse=True)
-            c = elem[n - k1][k3]
+            c = half_rows[n - k1][k3]
             if c:
                 terms[e] = -c if (n - k1) % 2 else c
     return Polynomial._raw(_XYZ, terms)

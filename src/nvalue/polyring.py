@@ -62,6 +62,26 @@ def format_terms(names, terms, sep: str = "*", fmt=str) -> str:
     return "".join(parts) or "0"
 
 
+# A symmetric binary form of degree d is fixed by its half row, the
+# coefficients of x^(d-i) y^i for i <= d/2, or by the same number of
+# coefficients at s^(d-2b) p^b, s = x + y and p = xy.  s^(d-2b) p^b puts
+# C(d-2b, i-b) at x^(d-i) y^i, so the change of basis is integer and
+# unitriangular and keeps exactness both ways.
+
+def half_row_to_sp(row, d: int) -> list[int]:
+    """Coefficients at s^(d-2b) p^b of the form with half row ``row``."""
+    out = []
+    for i, h in enumerate(row):
+        out.append(h - sum(c * math.comb(d - 2 * b, i - b) for b, c in enumerate(out)))
+    return out
+
+
+def sp_to_half_row(row, d: int) -> list[int]:
+    """Half row of the form with coefficients ``row`` at s^(d-2b) p^b."""
+    return [sum(c * math.comb(d - 2 * b, i - b) for b, c in enumerate(row[:i + 1]))
+            for i in range(len(row))]
+
+
 class Polynomial:
     """Immutable sparse polynomial over named variables.
 

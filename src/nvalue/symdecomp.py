@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .construct import build_pn
-from .polyring import Polynomial, format_terms
+from .polyring import Polynomial, format_terms, half_row_to_sp
 
 
 class NotSymmetric(ValueError):
@@ -124,6 +124,11 @@ def decompose(f: Polynomial) -> EBasisPolynomial:
     e3 = zp, the z-free terms c s^a p^b are the e3^k3 layer of the
     answer, A at (a+b+k3, b+k3, k3); subtracting c (s + z)^a (p + zs)^b
     leaves a multiple of zp, which is divided out before the next layer.
+
+    Layer k3 reads only the z^0 row left after k3 divisions by zp, that
+    is f's z^k3 row less what earlier layers subtracted from it, and the
+    last layer is n // 3.  So only the rows j <= n // 3 are written in
+    s, p, and layer k3 skips every update that lands above z^(n//3 - k3).
     recompose(decompose(f)) equals f exactly.
     """
     if len(f.vars) != 3:
@@ -134,29 +139,26 @@ def decompose(f: Polynomial) -> EBasisPolynomial:
     if not f.is_symmetric():
         raise NotSymmetric("polynomial is not symmetric in its variables")
     n = n or 0
-    # coefficients of s^a p^b z^j, keyed (a, b, j)
-    g = {}
-    for j in range(n + 1):
+    top = n // 3
+    # rows[j][b]: coefficient of s^a p^b z^j, a = n - 3 k3 - j - 2b at layer k3
+    rows = []
+    for j in range(top + 1):
         d = n - j
-        row = []
-        for i in range(d // 2 + 1):
-            row.append(f.coefficient((d - i, i, j))
-                       - sum(c * math.comb(d - 2 * b, i - b)
-                             for b, c in enumerate(row)))
-        for b, c in enumerate(row):
-            if c:
-                g[d - 2 * b, b, j] = c
+        rows.append(half_row_to_sp([f.coefficient((d - i, i, j)) for i in range(d // 2 + 1)], d))
     coeffs = {}
-    for k3 in range(n // 3 + 1):
-        layer = [(a, b, c) for (a, b, j), c in g.items() if not j]
-        for a, b, c in layer:
+    for k3 in range(top + 1):
+        left = top - k3
+        for b, c in enumerate(rows[0]):
+            if not c:
+                continue
+            a = n - 3 * k3 - 2 * b
             coeffs[a + b + k3, b + k3, k3] = c
-            for i in range(a + 1):
+            for i in range(min(a, left) + 1):
                 ci = c * math.comb(a, i)
-                for l in range(b + 1):
-                    key = a - i + l, b - l, i + l
-                    g[key] = g.get(key, 0) - ci * math.comb(b, l)
-        g = {(a, b - 1, j - 1): c for (a, b, j), c in g.items() if c}
+                for l in range(min(b, left - i) + 1):
+                    rows[i + l][b - l] -= ci * math.comb(b, l)
+        # what is left is a multiple of zp: drop row z^0 and column p^0
+        rows = [row[1:] for row in rows[1:]]
     return EBasisPolynomial(n, coeffs)
 
 

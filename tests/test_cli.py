@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -47,6 +48,22 @@ class TestPnGolden:
                             "--format", "json")
         assert code == 0
         assert Polynomial.from_json(json.loads(out)) == build_pn(4)
+
+
+class TestPnDigests:
+    # SHA-256 of stdout past the golden files' range, as the monomial-row
+    # builder and the untruncated decompose printed it
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n, basis, digest", [
+        (64, "e", "2109cc468a1a8bd5910cf0f10a82297cd3c3880d70bf2f5c3dfef4e70eea0bda"),
+        (64, "raw", "108eec05e006336c04297c0b111c7f2d181a6e6203e19a6626cb59f3d376db75"),
+        (96, "e", "9513e808ca8ce4863e061cad275234ad3d562514162deabc9af24007e7858292"),
+    ], ids=("64-e", "64-raw", "96-e"))
+    def test_json(self, capsys, n, basis, digest):
+        code, out = run_cli(capsys, "pn", "--n", str(n), "--basis", basis,
+                            "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestNewtonCommand:

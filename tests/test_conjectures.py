@@ -88,7 +88,7 @@ class TestScanPrimePower:
         assert scan_prime_power(n).overall == "pass"
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("n", (27, 32, 49, 64, 81))
+    @pytest.mark.parametrize("n", (27, 32, 49, 64, 81, 128))
     def test_passes_past_16(self, n):
         assert scan_prime_power(n).overall == "pass"
 

@@ -152,7 +152,7 @@ class TestVerifyTheorem:
         assert rep.degree == n
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("n", (*range(13, 49), 64, 96))
+    @pytest.mark.parametrize("n", (*range(13, 49), 64, 96, 128))
     def test_pn_passes_past_12(self, n):
         assert verify_theorem(build_pn(n)).passed
 

@@ -8,6 +8,8 @@ from nvalue.polyring import (
     IndivisibleExponent,
     Polynomial,
     VariableMismatch,
+    half_row_to_sp,
+    sp_to_half_row,
 )
 from fractions import Fraction
 
@@ -160,6 +162,26 @@ class TestSymmetryAndDegree:
 
     def test_mixed_degree_absent(self):
         assert P({(1, 0, 0): 1, (2, 0, 0): 1}).homogeneous_degree() is None
+
+
+class TestBinaryFormRows:
+    def test_each_sp_monomial_against_its_expansion(self):
+        XY = ("x", "y")
+        s = Polynomial.variable("x", XY) + Polynomial.variable("y", XY)
+        p = Polynomial.variable("x", XY) * Polynomial.variable("y", XY)
+        for d in range(12):
+            for b in range(d // 2 + 1):
+                f = s ** (d - 2 * b) * p ** b
+                half = [f.coefficient((d - i, i)) for i in range(d // 2 + 1)]
+                unit = [int(j == b) for j in range(d // 2 + 1)]
+                assert sp_to_half_row(unit, d) == half
+                assert half_row_to_sp(half, d) == unit
+
+    def test_round_trip(self):
+        rng = random.Random(7)
+        for d in range(40):
+            row = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(d // 2 + 1)]
+            assert sp_to_half_row(half_row_to_sp(row, d), d) == row
 
 
 class TestRingAxioms:

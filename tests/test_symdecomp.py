@@ -12,6 +12,7 @@ from nvalue.symdecomp import (
     NotSymmetric,
     decompose,
     elementary,
+    partitions3,
     recompose,
     verify_proposition,
 )
@@ -35,6 +36,16 @@ GOLDEN = {
     7: {(7, 0, 0): 1, (5, 1, 1): -5 * 7 ** 4, (4, 2, 1): 2 * 7 ** 6,
         (3, 3, 1): -7 ** 7, (3, 2, 2): 7 ** 8},
 }
+
+
+def _last_layer_table(rng, n):
+    """Random e-basis table of degree n with a term at k3 = n // 3, the
+    last e3 layer decompose reads, and up to 8 other random terms."""
+    parts = partitions3(n)
+    keys = rng.sample(parts, rng.randint(0, min(8, len(parts))))
+    keys.append(rng.choice([k for k in parts if k[2] == n // 3]))
+    return EBasisPolynomial(n, {k: rng.choice((-1, 1)) * rng.randint(1, 10 ** 6)
+                                for k in keys})
 
 
 class TestGoldenTables:
@@ -97,8 +108,18 @@ class TestSympyOracle:
     def test_matches_symmetrize_random(self, seed):
         rng = random.Random(seed)
         for _ in range(10):
-            f = random_symmetric_homogeneous(rng, max_degree=18)
+            f = random_symmetric_homogeneous(rng, max_degree=30)
             assert decompose(f).coeffs == _symmetrize_table(f)
+
+    @pytest.mark.parametrize("n", (3, 17, 29, 30))
+    def test_matches_symmetrize_last_layer(self, n):
+        f = recompose(_last_layer_table(random.Random(n), n))
+        assert decompose(f).coeffs == _symmetrize_table(f)
+
+    @pytest.mark.parametrize("k", (1, 10))
+    def test_matches_symmetrize_pure_e3(self, k):
+        f = Polynomial(XYZ, {(k, k, k): -3})
+        assert decompose(f).coeffs == _symmetrize_table(f) == {(k, k, k): -3}
 
 
 class TestRecompose:
@@ -123,8 +144,20 @@ class TestRecompose:
     def test_round_trip_random_symmetric(self):
         rng = random.Random(99)
         for _ in range(60):
-            f = random_symmetric_homogeneous(rng, max_degree=18)
+            f = random_symmetric_homogeneous(rng, max_degree=30)
             assert recompose(decompose(f), f.vars) == f
+
+    def test_round_trip_last_layer(self):
+        rng = random.Random(303)
+        for n in range(1, 31):
+            g = _last_layer_table(rng, n)
+            assert decompose(recompose(g)) == g, n
+
+    def test_pure_e3(self):
+        for k in range(11):
+            f = Polynomial(XYZ, {(k, k, k): 5})
+            assert decompose(f).coeffs == {(k, k, k): 5}
+            assert decompose(f * (x + y + z)).coeffs == {(k + 1, k, k): 5}
 
     def test_alternate_variable_names(self):
         vars = ("a", "b", "c")
@@ -176,7 +209,7 @@ class TestVerifyProposition:
         assert verify_proposition(n).passed
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("n", (64, 96))
+    @pytest.mark.parametrize("n", (64, 96, 128))
     def test_passes_at_large_n(self, n):
         assert verify_proposition(n).passed
 
