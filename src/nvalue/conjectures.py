@@ -8,7 +8,7 @@ flagged, never suppressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .construct import build_pn
 from .symdecomp import decompose, partitions3
@@ -22,22 +22,20 @@ class NotEven(ValueError):
     """n is odd."""
 
 
-@dataclass(frozen=True)
-class CheckEntry:
-    partition: tuple[int, int, int]
-    coefficient: int
-    verdict: str  # pass | fail | info
-    detail: str
+class CheckEntry(namedtuple("CheckEntry", "partition coefficient verdict detail")):
+    """One partition's coefficient; ``verdict`` is pass, fail or info."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    """Per-partition verdicts for one n; every partition appears once."""
+class ScanReport(namedtuple("ScanReport", "n kind checks overall")):
+    """Per-partition verdicts for one n; every partition appears once.
 
-    n: int
-    kind: str  # prime-power | even-nonzero | factors
-    checks: tuple[CheckEntry, ...]
-    overall: str  # pass | fail | exploratory
+    ``kind`` is prime-power, even-nonzero or factors; ``overall`` is pass,
+    fail or exploratory.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

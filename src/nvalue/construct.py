@@ -18,8 +18,8 @@ provided and must agree exactly:
   Newton's identities, dividing exactly.  Each e_k is a symmetric binary
   form, kept as its integer row in s = x + y and p = xy, where a product
   is a plain full convolution that needs no truncation or mirroring.
-  The rows stop at k = floor(2n/3) + 1: every coefficient of p_n is read
-  from a row up to floor(2n/3).  Each row is then converted back to its
+  The rows stop at k = floor(2n/3): every coefficient of p_n is read
+  from a row up to there.  Each row is then converted back to its
   half row in x, y, and the full polynomial is filled term by term, each
   term reading the coefficient at its sorted exponent; p_n is symmetric,
   so that is the same number.
@@ -32,7 +32,7 @@ in t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .polyring import NonIntegralCoefficient, Polynomial, half_row_to_sp, sp_to_half_row
@@ -46,12 +46,10 @@ class NonConstantInT(ArithmeticError):
     """The cyclotomic product kept a residual t-dependence (internal bug)."""
 
 
-@dataclass(frozen=True)
-class CyclotomicPoly:
+class CyclotomicPoly(namedtuple("CyclotomicPoly", "n coeffs")):
     """Phi_n as an ascending integer coefficient tuple; always monic."""
 
-    n: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -196,26 +194,32 @@ def build_pn_cyclo(n: int) -> Polynomial:
     return q.rename_vars({"u": "x", "v": "y"})
 
 
+def _power_sum_half(n: int, m: int) -> list[int]:
+    """Entries i = 0..floor(m/2) of P_m, the coefficients of x^(m-i) y^i."""
+    c = -n if (n * m) % 2 else n
+    half = [c]
+    # C(nm, ni + n) = C(nm, ni) * perm(nm - ni, n) / perm(ni + n, n), exactly;
+    # one math.comb per entry costs about 15 times as much at n = 96
+    for a in range(0, n * (m // 2), n):
+        c = c * math.perm(n * m - a, n) // math.perm(a + n, n)
+        half.append(c)
+    return half
+
+
 def power_sum(n: int, m: int) -> Polynomial:
     """Sum of the m-th powers of the n roots (u + eps^k v)^n, in x and y.
 
     Expanding (u + eps^k v)^{nm} and summing over k kills every binomial
     term whose v-exponent is not a multiple of n, leaving the closed form
 
-        P_m = (-1)^{nm} * n * sum_{i=0..m} C(nm, ni) x^{m-i} y^i.
+        P_m = (-1)^{nm} * n * sum_{i=0..m} C(nm, ni) x^{m-i} y^i,
+
+    symmetric in x and y as C(nm, ni) = C(nm, n(m-i)).
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    sign = -1 if (n * m) % 2 else 1
-    # C(nm, ni + n) = C(nm, ni) * perm(nm - ni, n) / perm(ni + n, n), exactly;
-    # one math.comb per entry costs about 15 times as much at n = 96
-    c = sign * n
-    terms = {(m, 0): c}
-    for i in range(1, m + 1):
-        a = n * (i - 1)
-        c = c * math.perm(n * m - a, n) // math.perm(a + n, n)
-        terms[(m - i, i)] = c
-    return Polynomial._raw(_XY, terms)
+    half = _power_sum_half(n, m)
+    return Polynomial._raw(_XY, {(m - i, i): half[min(i, m - i)] for i in range(m + 1)})
 
 
 @lru_cache(maxsize=None)
@@ -236,17 +240,15 @@ def build_pn_newton_identities(n: int) -> Polynomial:
     one at its sorted exponent (k1, k2, k3), k1 >= k2 >= k3: that of
     x^k2 y^k3 z^k1, which is (-1)^(n-k1) times entry k3 of e_(n-k1)'s
     half row.  As k1 >= n/3, no row past floor(2n/3) is read, and the
-    identities stop at k = floor(2n/3) + 1.
+    identities stop at k = floor(2n/3).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    top = min(n, 2 * n // 3 + 1)
-    # P_m has all m+1 terms; lex-descending order lists x^(m-i) y^i by rising
-    # i.  The sign (-1)^(m-1) of the identities is folded into the row.
+    top = 2 * n // 3
+    # the sign (-1)^(m-1) of the identities is folded into each power sum's row
     psums = [None]
     for m in range(1, top + 1):
-        half = [c for _, c in power_sum(n, m).sorted_terms()][:m // 2 + 1]
-        sp = half_row_to_sp(half, m)
+        sp = half_row_to_sp(_power_sum_half(n, m), m)
         psums.append(sp if m % 2 else [-c for c in sp])
     elem = [[1]]
     for k in range(1, top + 1):

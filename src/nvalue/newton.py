@@ -9,7 +9,7 @@ no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .polyring import Polynomial
 
@@ -26,16 +26,14 @@ class HypothesisNotMet(ValueError):
         self.hypothesis = hypothesis
 
 
-@dataclass(frozen=True)
-class NewtonPolytope:
+class NewtonPolytope(namedtuple("NewtonPolytope", "degree vertices")):
     """Extreme lattice vertices of a support hull.
 
     ``vertices`` are the lifted triples whose coordinates sum to
     ``degree``, counterclockwise in the (first, second) projection.
     """
 
-    degree: int
-    vertices: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "vertices": [list(v) for v in self.vertices]}
@@ -70,21 +68,33 @@ def convex_hull_2d(points) -> list[tuple[int, int]]:
     return lower[:-1] + upper[:-1]
 
 
-def _projected_support(f: Polynomial) -> tuple[int, list[tuple[int, int]]]:
-    """Degree of f and its sorted (first, second)-exponent projection."""
+def _degree(f: Polynomial) -> int:
+    """Degree of f, checked to be a nonzero homogeneous 3-variable form."""
     if not f:
         raise ZeroPolynomial("zero polynomial")
     degree = f.homogeneous_degree()
     if len(f.vars) != 3 or degree is None:
         raise ValueError("need a homogeneous polynomial in 3 variables")
-    return degree, sorted({(e[0], e[1]) for e in f.support()})
+    return degree
 
 
 def newton_polytope(f: Polynomial) -> NewtonPolytope:
-    """Convex hull of the support of f as a NewtonPolytope."""
-    degree, pts = _projected_support(f)
-    verts = tuple((i, j, degree - i - j) for i, j in convex_hull_2d(pts))
-    return NewtonPolytope(degree, verts)
+    """Convex hull of the support of f as a NewtonPolytope.
+
+    Only the lowest and the highest point of each column i of the (i, j)
+    projection enter the hull: a point strictly between two points of its
+    column is never a vertex, so the hull of a finite set is the hull of
+    its column extremes, at most 2 (degree + 1) points.
+    """
+    degree = _degree(f)
+    low, high = {}, {}
+    for i, j, _ in f.support():
+        if low.get(i, j) >= j:
+            low[i] = j
+        if high.get(i, j) <= j:
+            high[i] = j
+    hull = convex_hull_2d([*low.items(), *high.items()])
+    return NewtonPolytope(degree, tuple((i, j, degree - i - j) for i, j in hull))
 
 
 def is_k_simplex(p: NewtonPolytope, k: int) -> bool:
@@ -94,11 +104,8 @@ def is_k_simplex(p: NewtonPolytope, k: int) -> bool:
     return set(p.vertices) == {(k, 0, 0), (0, k, 0), (0, 0, k)}
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    degree: int
-    vertices: tuple[tuple[int, ...], ...]
-    passed: bool
+class TheoremReport(namedtuple("TheoremReport", "degree vertices passed")):
+    __slots__ = ()
 
 
 def verify_theorem(f: Polynomial) -> TheoremReport:
@@ -138,7 +145,8 @@ def render_svg(f: Polynomial) -> str:
     Unit grid in light gray, support points as filled circles, hull as a
     closed path.  Output is byte-stable for golden-file comparison.
     """
-    _, pts = _projected_support(f)
+    _degree(f)
+    pts = sorted({(e[0], e[1]) for e in f.support()})
     hull = convex_hull_2d(pts)
     extent = max(max(max(p) for p in pts), 1)
     size = 2 * _SVG_MARGIN + extent * _SVG_SCALE

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 from .construct import build_pn
@@ -52,22 +52,24 @@ def partitions3(n: int) -> list[tuple[int, int, int]]:
             for k2 in range(min(k1, n - k1), (n - k1 + 1) // 2 - 1, -1)]
 
 
-@dataclass(frozen=True)
-class EBasisPolynomial:
+class EBasisPolynomial(namedtuple("EBasisPolynomial", "n coeffs")):
     """Integer coefficients A_{k1,k2,k3} on the elementary-symmetric basis.
 
     Each key (k1, k2, k3) with k1 >= k2 >= k3 >= 0 and k1+k2+k3 = n stands
-    for the basis monomial e1^(k1-k2) e2^(k2-k3) e3^k3.
+    for the basis monomial e1^(k1-k2) e2^(k2-k3) e3^k3; ``coeffs`` maps
+    keys to nonzero integers and defaults to an empty dict.
     """
 
-    n: int
-    coeffs: dict[tuple[int, int, int], int] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for key, a in self.coeffs.items():
-            _check_partition(key, self.n)
+    def __new__(cls, n: int, coeffs: dict[tuple[int, int, int], int] | None = None):
+        if coeffs is None:
+            coeffs = {}
+        for key, a in coeffs.items():
+            _check_partition(key, n)
             if a == 0:
                 raise ValueError(f"stored coefficient at {key} is zero")
+        return super().__new__(cls, n, coeffs)
 
     def coefficient(self, k1: int, k2: int, k3: int) -> int:
         """A_{k1,k2,k3}; zero when the partition is absent."""
@@ -153,10 +155,11 @@ def decompose(f: Polynomial) -> EBasisPolynomial:
                 continue
             a = n - 3 * k3 - 2 * b
             coeffs[a + b + k3, b + k3, k3] = c
+            comb_b = [math.comb(b, l) for l in range(min(b, left) + 1)]
             for i in range(min(a, left) + 1):
                 ci = c * math.comb(a, i)
                 for l in range(min(b, left - i) + 1):
-                    rows[i + l][b - l] -= ci * math.comb(b, l)
+                    rows[i + l][b - l] -= ci * comb_b[l]
         # what is left is a multiple of zp: drop row z^0 and column p^0
         rows = [row[1:] for row in rows[1:]]
     return EBasisPolynomial(n, coeffs)
@@ -172,23 +175,18 @@ def recompose(g: EBasisPolynomial, vars=("x", "y", "z")) -> Polynomial:
     return acc
 
 
-@dataclass(frozen=True)
-class PropositionCheck:
-    partition: tuple[int, int, int]
-    expected: int
-    actual: int
+class PropositionCheck(namedtuple("PropositionCheck", "partition expected actual")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.expected == self.actual
 
 
-@dataclass(frozen=True)
-class PropositionReport:
+class PropositionReport(namedtuple("PropositionReport", "n checks")):
     """Closed-form check of the e3-free coefficients of p_n."""
 
-    n: int
-    checks: tuple[PropositionCheck, ...]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

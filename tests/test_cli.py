@@ -253,6 +253,11 @@ class TestSubprocess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    def test_cli_loads_no_dataclasses(self):
+        proc = run_python("import sys\nimport nvalue.cli\nprint('dataclasses' in sys.modules)\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_exact_commands_load_no_numpy(self):
         proc = run_python(
             "import contextlib, io, sys\n"

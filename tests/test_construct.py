@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 import sys
 from pathlib import Path
@@ -94,6 +95,21 @@ class TestPowerSum:
     def test_n2_m2(self):
         assert power_sum(2, 2) == Polynomial(
             ("x", "y"), {(2, 0): 2, (1, 1): 12, (0, 2): 2})
+
+    def test_closed_form(self):
+        for n in range(1, 13):
+            for m in range(1, 13):
+                sign = (-1) ** (n * m)
+                assert power_sum(n, m) == Polynomial(("x", "y"), {
+                    (m - i, i): sign * n * math.comb(n * m, n * i) for i in range(m + 1)})
+
+    def test_builder_half_row(self):
+        # the builder reads entries i <= m/2 of P_m, the coefficients of x^(m-i) y^i
+        for n in range(1, 13):
+            for m in range(1, 13):
+                p = power_sum(n, m)
+                assert construct._power_sum_half(n, m) == [
+                    p.coefficient((m - i, i)) for i in range(m // 2 + 1)]
 
     def test_against_numeric_root_sum(self):
         # sum the m-th powers of the actual complex roots directly
@@ -238,11 +254,11 @@ class TestErrors:
             CycloElement(3, [Polynomial.one(("u", "v", "z"))])
 
     def test_inexact_division_raises(self, monkeypatch):
-        # all-ones power sums give 2 e_2 = x*y, which no integer row solves
-        monkeypatch.setattr(construct, "power_sum", lambda n, m: Polynomial(
-            ("x", "y"), {(m - i, i): 1 for i in range(m + 1)}))
+        # all-ones power sums give 2 e_2 = x*y, which no integer row solves;
+        # n = 3 is the least n whose table reads e_2
+        monkeypatch.setattr(construct, "_power_sum_half", lambda n, m: [1] * (m // 2 + 1))
         with pytest.raises(NonIntegralCoefficient):
-            build_pn_newton_identities.__wrapped__(2)
+            build_pn_newton_identities.__wrapped__(3)
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):

@@ -126,6 +126,36 @@ class TestNewtonPolytope:
             render_svg(f)
 
 
+def _full_hull(f):
+    n = f.homogeneous_degree()
+    return tuple((i, j, n - i - j) for i, j in convex_hull_2d((e[0], e[1]) for e in f.support()))
+
+
+class TestColumnExtremes:
+    """newton_polytope hulls only column extremes; the full hull is the oracle."""
+
+    def test_random_supports(self):
+        rng = random.Random(34)
+        for _ in range(300):
+            d = rng.randint(0, 9)
+            shape = rng.choice(("single", "collinear", "random"))
+            if shape == "single":
+                ij = [(rng.randint(0, d), 0)]
+            elif shape == "collinear":
+                # a line through the support plane: fixed third exponent
+                top = d - rng.randint(0, d)
+                ij = [(i, top - i) for i in rng.sample(range(top + 1), rng.randint(1, top + 1))]
+            else:
+                ij = [(i, rng.randint(0, d - i)) for i in
+                      (rng.randint(0, d) for _ in range(rng.randint(1, 15)))]
+            f = Polynomial(XYZ, {(i, j, d - i - j): rng.choice((-3, -1, 1, 2)) for i, j in ij})
+            assert newton_polytope(f).vertices == _full_hull(f), ij
+
+    def test_pn_up_to_40(self):
+        for n in range(1, 41):
+            assert newton_polytope(build_pn(n)).vertices == _full_hull(build_pn(n)), n
+
+
 class TestIsKSimplex:
     def test_p5(self):
         assert is_k_simplex(newton_polytope(build_pn(5)), 5)
