@@ -4,11 +4,12 @@ The product of x and y is the n-multiset [(x^(1/n) + eps^r y^(1/n))^n] over
 the n-th roots of unity eps^r, with principal-branch roots; the result is
 independent of the branch chosen.  Unit is 0, inverse is (-1)^n x.
 Multisets are equal when some bijection pairs their values within a
-scale-aware tolerance: the orders sorted by real part are tried first, and
-an exact bipartite matching (Kuhn's augmenting paths) decides when they do
-not pair.  The z-roots of p_n are checked against the product with no root
-finding, by Vieta's formulas and the Weierstrass correction at each
-predicted root, each value taken at a scale at which it does not underflow.
+scale-aware tolerance: the order given, then the orders sorted by real
+part, are tried first, and an exact bipartite matching (Kuhn's augmenting
+paths) decides when neither pairs.  The z-roots of p_n are checked against
+the product with no root finding, by Vieta's formulas and the Weierstrass
+correction at each predicted root, each value taken at a scale at which it
+does not underflow.
 No command loads numpy: only pn_roots, a companion-matrix root finder kept
 for cross-checks, imports it, inside the call.
 """
@@ -82,18 +83,18 @@ def eq_multiset(a, b, tol: float) -> bool:
     """Multiset equality: some bijection pairs every p in a with a q in b
     such that |p - q| <= tol * max(1, |p|, |q|).
 
-    The zipped orders sorted by real part are tried first as the
-    bijection; when some pair fails, a perfect matching in the tolerance
-    graph decides.  This accepts every input a minimum-cost matching
-    accepts, and also those whose minimum-cost matching has one pair out of
-    tolerance while another bijection has none.
+    The order given, then the orders sorted by real part, are tried as the
+    bijection; when some pair fails in each, a perfect matching in the
+    tolerance graph decides.  This accepts every input a minimum-cost
+    matching accepts, and also those whose minimum-cost matching has one
+    pair out of tolerance while another bijection has none.
     """
     if len(a) != len(b):
         return False
     if not all(map(cmath.isfinite, itertools.chain(a, b))):
         return False                      # isclose(inf, inf) holds
     close = _close(tol)
-    if all(map(close, sorted(a, key=_REAL), sorted(b, key=_REAL))):
+    if all(map(close, a, b)) or all(map(close, sorted(a, key=_REAL), sorted(b, key=_REAL))):
         return True
     return _has_perfect_matching(_tolerance_graph(a, b, close))
 
@@ -158,19 +159,43 @@ def _has_perfect_matching(adj) -> bool:
 
 
 def contains_zero(values, tol: float) -> bool:
-    """Scale-aware membership of 0 in a multiset of complex values."""
+    """Scale-aware membership of 0 in a multiset of complex values; as in
+    eq_multiset, an empty or non-finite multiset holds none."""
     vals = [abs(v) for v in values]
-    scale = max(1.0, max(vals, default=0.0))
-    return min(vals, default=0.0) <= tol * scale
+    if not vals or not all(map(math.isfinite, vals)):
+        return False
+    return min(vals) <= tol * max(1.0, max(vals))
 
 
 def check_associativity(x: complex, y: complex, z: complex, n: int, tol: float) -> bool:
-    """Compare x*(y*z) against (x*y)*z as n^2-multisets."""
+    """Compare x*(y*z) against (x*y)*z as n^2-multisets.
+
+    With a, b, c the principal roots of x, y, z, each product is
+    (a + eps^i b + eps^j c)^n.  The root r_s of (b + eps^(s+1) c)^n, the s-th
+    value of y*z, is eps^k_s (b + eps^(s+1) c), and the root q_u of
+    (a + eps^(u+1) b)^n is eps^m_u (a + eps^(u+1) b), so left[s n + t] pairs
+    with right[u n + t'] for u = t + k_s and t' = u + s + 1 + m_u (mod n).
+    The products are _mul's, bit for bit.  Where _mul takes a shortcut or a
+    value of y*z or x*y is zero or not finite, no label is read and both
+    sides go to eq_multiset in _mul's order.
+    """
     yz = mul_n(y, z, n)
-    a, c = nth_root(x, n), nth_root(z, n)     # each shared by n products
-    left = [w for inner in yz for w in _mul(x, inner, n, a, None)]
-    right = [w for inner in _mul(x, y, n, a, None) for w in _mul(inner, z, n, None, c)]
-    return eq_multiset(left, right, tol)
+    a, b, c = nth_root(x, n), nth_root(y, n), nth_root(z, n)
+    xy = _mul(x, y, n, a, b)
+    if n == 1 or 0 in (x, z) or 0 in yz + xy or not all(map(cmath.isfinite, yz + xy)):
+        left = [w for v in yz for w in _mul(x, v, n, a, None)]
+        return eq_multiset(left, [w for v in xy for w in _mul(v, z, n, None, c)], tol)
+    unity, turn = _unity(n), n / (2 * math.pi)    # turn: a label's steps per radian
+    rs, qs = ([cmath.exp(cmath.log(v) / n) for v in vs] for vs in (yz, xy))  # nth_root, v != 0
+    left = [(a + w * r) ** n for r in rs for w in unity]
+    turned = []                   # row u of the right side turned by u + 1 + m_u
+    for u, q in enumerate(qs):
+        row = [(q + w * c) ** n for w in unity]
+        i = (round(cmath.phase(q / (a + unity[u] * b)) * turn) + u + 1) % n
+        turned.append(row[i:] + row[:i])
+    ks = [round(cmath.phase(r / (b + w * c)) * turn) % n for r, w in zip(rs, unity)]
+    aligned = itertools.chain.from_iterable(col[k:] + col[:k] for k, col in zip(ks, zip(*turned)))
+    return eq_multiset(left, list(aligned), tol)
 
 
 @lru_cache(maxsize=None)

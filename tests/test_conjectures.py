@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from nvalue import conjectures
 from nvalue.conjectures import (
     NotEven,
     NotPrimePower,
@@ -150,6 +151,21 @@ class TestFactorReport:
                 if c.coefficient:
                     prod = math.prod(p ** e for p, e in factorize(abs(c.coefficient)))
                     assert prod == abs(c.coefficient)
+
+    @pytest.mark.parametrize("n, expected", ((1, 1), (6, 8), (9, 9), (11, 12)))
+    def test_factors_each_coefficient_once(self, monkeypatch, n, expected):
+        # once per nonzero coefficient, plus once for n itself when n > 1
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return factorize(m)
+
+        monkeypatch.setattr(conjectures, "factorize", counting)
+        rep = factor_report(n)
+        nonzero = [abs(c.coefficient) for c in rep.checks if c.coefficient]
+        assert sorted(calls) == sorted(nonzero + ([n] if n > 1 else []))
+        assert len(calls) == expected
 
 
 class TestJson:

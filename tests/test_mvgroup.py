@@ -45,6 +45,37 @@ def _some_bijection_pairs(a, b, tol):
                for perm in itertools.permutations(b))
 
 
+# zero operands, and triples at which some value of y*z or x*y sits at or
+# near 0
+_SPECIAL = ((0, 0.3 + 0.4j, -0.5j), (0.3 + 0.4j, 0, -0.5j), (0.3 + 0.4j, -0.5j, 0),
+            (0, 0, 0), (0, 0.5j, 0), (1, 1, 1), (1, -1, 1), (1, 1, -1), (-1, 1, 1))
+
+
+def _triples(n, count):
+    rng = random.Random(1000 + n)
+    return [tuple(_disk_point(rng) for _ in range(3)) for _ in range(count)]
+
+
+def _composed_sides(x, y, z, n):
+    # x*(y*z) and (x*y)*z composed from mul_n alone, in mul_n's order
+    left = [w for inner in mul_n(y, z, n) for w in mul_n(x, inner, n)]
+    right = [w for inner in mul_n(x, y, n) for w in mul_n(inner, z, n)]
+    return left, right
+
+
+def _bits(values):
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+def _forbid_fallbacks(monkeypatch):
+    # eq_multiset may try only the order it is given
+    def forbidden(*args):
+        raise AssertionError("eq_multiset left the order given")
+
+    monkeypatch.setattr(mvgroup, "_REAL", forbidden)
+    monkeypatch.setattr(mvgroup, "_has_perfect_matching", forbidden)
+
+
 class TestMulN:
     def test_unit_left_exact(self):
         rng = random.Random(1)
@@ -115,6 +146,25 @@ class TestInv:
                 assert contains_zero(mul_n(inv(xv, n), xv, n), 1e-9)
 
 
+class TestContainsZero:
+    def test_zero_present(self):
+        assert contains_zero([3, 0j], 1e-9)
+
+    def test_scale_aware(self):
+        # 1e-4 is within 1e-9 of 0 at magnitude 1e6, not at magnitude 1
+        assert contains_zero([1e-4, 1e6], 1e-9)
+        assert not contains_zero([1e-4, 1], 1e-9)
+
+    def test_empty(self):
+        assert not contains_zero([], 1e-9)
+
+    @pytest.mark.parametrize("values", ([math.inf, 5], [0j, math.inf],
+                                        [complex(math.nan, 0), 0j],
+                                        [complex(0, -math.inf)]))
+    def test_not_finite(self, values):
+        assert not contains_zero(values, 1e-9)
+
+
 class TestEqMultiset:
     def test_order_free(self):
         assert eq_multiset([1, 2], [2, 1], 1e-12)
@@ -154,11 +204,8 @@ class TestEqMultiset:
             verdicts.add(expected)
         assert verdicts == {True, False}
 
-    @pytest.mark.parametrize("last, expected", ((3e-8 + 1j, True),
-                                                (3e-8 + 1.1j, False)))
-    def test_sorted_orders_do_not_pair(self, monkeypatch, last, expected):
-        # sorted by real part, 0j meets 3e-8 + 1j, so only the matching
-        # can find the bijection 0j <-> 5e-8, 6e-8 + 1j <-> 3e-8 + 1j
+    @staticmethod
+    def _spy_matching(monkeypatch):
         calls = []
         matching = mvgroup._has_perfect_matching
 
@@ -167,8 +214,21 @@ class TestEqMultiset:
             return matching(adj)
 
         monkeypatch.setattr(mvgroup, "_has_perfect_matching", spy)
-        assert eq_multiset([0j, 6e-8 + 1j], [5e-8 + 0j, last], 1e-7) is expected
-        assert calls == [[[0], [1] if expected else []]]
+        return calls
+
+    @pytest.mark.parametrize("last, expected", ((3e-8 + 1j, True),
+                                                (3e-8 + 1.1j, False)))
+    def test_sorted_orders_do_not_pair(self, monkeypatch, last, expected):
+        # in the order given and sorted by real part, 0j meets 3e-8 + 1j, so
+        # only the matching can find 0j <-> 5e-8, 6e-8 + 1j <-> 3e-8 + 1j
+        calls = self._spy_matching(monkeypatch)
+        assert eq_multiset([0j, 6e-8 + 1j], [last, 5e-8 + 0j], 1e-7) is expected
+        assert calls == [[[1], [0] if expected else []]]
+
+    def test_order_given_tried_first(self, monkeypatch):
+        # sorted by real part, 0j would meet 3e-8 + 1j
+        _forbid_fallbacks(monkeypatch)
+        assert eq_multiset([0j, 6e-8 + 1j], [5e-8 + 0j, 3e-8 + 1j], 1e-7)
 
     @pytest.mark.parametrize("size", (256, 1024))
     def test_large_cluster(self, size):
@@ -217,6 +277,55 @@ class TestAssociativity:
                 xv = _disk_point(rng, radius=1e3)
                 yv, zv = _disk_point(rng), _disk_point(rng)
                 assert check_associativity(xv, yv, zv, n, 1e-7)
+
+
+class TestAssociativityPairing:
+    """check_associativity against eq_multiset on both sides composed from
+    mul_n: the same verdicts, the same products, and no fallback."""
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_verdict_matches_composed_sides(self, n):
+        for x, y, z in _triples(n, 6) + list(_SPECIAL):
+            left, right = _composed_sides(x, y, z, n)
+            assert check_associativity(x, y, z, n, 1e-7) is eq_multiset(left, right, 1e-7)
+
+    def test_both_verdicts_match(self):
+        # tolerances near rounding, where some samples fail from n = 11 on
+        verdicts = set()
+        for n in range(1, 13):
+            for x, y, z in _triples(n, 6):
+                left, right = _composed_sides(x, y, z, n)
+                for tol in (1e-14, 2e-15):
+                    expected = eq_multiset(left, right, tol)
+                    assert check_associativity(x, y, z, n, tol) is expected, (n, x, y, z, tol)
+                    verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", (47, 64, 96))
+    def test_verdict_matches_composed_sides_large_n(self, n):
+        for x, y, z in _triples(n, 2):
+            left, right = _composed_sides(x, y, z, n)
+            assert check_associativity(x, y, z, n, 1e-7) is eq_multiset(left, right, 1e-7)
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_products_bit_identical(self, monkeypatch, n):
+        # the left side in mul_n's order, the right side in some order
+        seen = []
+        monkeypatch.setattr(mvgroup, "eq_multiset", lambda a, b, tol: seen.append((a, b)))
+        for x, y, z in _triples(n, 4) + list(_SPECIAL):
+            check_associativity(x, y, z, n, 1e-7)
+            (left, right), = seen
+            seen.clear()
+            composed_left, composed_right = _composed_sides(x, y, z, n)
+            assert _bits(left) == _bits(composed_left), (x, y, z)
+            assert sorted(_bits(right)) == sorted(_bits(composed_right)), (x, y, z)
+
+    @pytest.mark.parametrize("n", list(range(1, 25)) + [47])
+    def test_generic_samples_pair_in_the_order_given(self, monkeypatch, n):
+        _forbid_fallbacks(monkeypatch)
+        for x, y, z in _triples(n, 10):
+            assert check_associativity(x, y, z, n, 1e-7)
 
 
 class TestRootsMatch:
