@@ -268,8 +268,8 @@ def build_pn_newton_identities(n: int) -> Polynomial:
         elem.append(row)
     half_rows = [sp_to_half_row(row, k) for k, row in enumerate(elem)]
     # insertion order (rising k, then i) fixes the floating-point sums of
-    # Polynomial.eval_complex and mvgroup.pn_roots, which the numeric axiom
-    # checks depend on
+    # Polynomial.eval_complex and of mvgroup.roots_match_pn's row sums over
+    # _pn_unit_rows, which the numeric axiom checks depend on
     terms = {}
     for k in range(n + 1):
         for i in range(k + 1):

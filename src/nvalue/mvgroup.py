@@ -9,9 +9,10 @@ part, are tried first, and an exact bipartite matching (Kuhn's augmenting
 paths) decides when neither pairs.  The z-roots of p_n are checked against
 the product with no root finding, by Vieta's formulas and the Weierstrass
 correction at each predicted root, each value taken at a scale at which it
-does not underflow.
-No command loads numpy: only pn_roots, a companion-matrix root finder kept
-for cross-checks, imports it, inside the call.
+does not underflow; _pn_unit_rows is the one cached float table of p_n.
+pn_roots, np.roots over the coefficients Polynomial.eval_complex gives, is
+a cross-check reference that no command calls; it alone imports numpy,
+inside the call.
 """
 
 from __future__ import annotations
@@ -20,13 +21,11 @@ import cmath
 import itertools
 import math
 import operator
-import warnings
 from collections import defaultdict
 from functools import lru_cache
 from itertools import repeat
 
 from . import construct
-from .polyring import _to_complex
 
 
 class RootFindingFailure(ArithmeticError):
@@ -198,56 +197,12 @@ def check_associativity(x: complex, y: complex, z: complex, n: int, tol: float) 
     return eq_multiset(left, list(aligned), tol)
 
 
-@lru_cache(maxsize=None)
-def _pn_z_rows(n: int):
-    """The coefficients of z^n, ..., z^0 in p_n, each as its terms
-    (i, j, c) for c x^i y^j in the builder's order, with c converted to
-    complex once; and whether some c is past double range."""
-    coefficients = reversed(construct.build_pn(n).coefficients_in("z"))
-    with warnings.catch_warnings():
-        # pn_roots warns on every call that meets such a c, not only here
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rows = tuple(tuple((i, j, _to_complex(c)) for (i, j), c in poly._terms.items())
-                     for poly in coefficients)
-    return rows, any(cmath.isinf(c) for row in rows for _, _, c in row)
-
-
-def _powers(v: complex, n: int) -> list[complex]:
-    # v**0, ..., v**n, each computed as Polynomial.eval_complex does; a
-    # power past double range becomes inf+infj
-    out = []
-    for e in range(n + 1):
-        try:
-            out.append(v ** e)
-        except OverflowError:
-            warnings.warn("evaluation overflowed double precision, using inf",
-                          RuntimeWarning, stacklevel=2)
-            out.append(complex(cmath.inf, cmath.inf))
-    return out
-
-
 def pn_roots(x: complex, y: complex, n: int) -> list[complex]:
-    """Numeric z-roots of p_n(. ; x, y) via the companion matrix.
-
-    Each coefficient is summed term by term in the builder's order, with
-    the products Polynomial.eval_complex takes, so the bits are its bits.
-    """
+    """Numeric z-roots of p_n(. ; x, y) via the companion matrix, over the
+    coefficients Polynomial.eval_complex gives; a cross-check reference
+    that no command calls."""
     import numpy as np
-    rows, past_double = _pn_z_rows(n)
-    if past_double:
-        warnings.warn("coefficient overflowed double precision, using inf",
-                      RuntimeWarning)
-    xs, ys = _powers(complex(x), n), _powers(complex(y), n)
-    desc = []
-    for row in rows:
-        total = 0j
-        for i, j, c in row:
-            if i:
-                c *= xs[i]
-            if j:
-                c *= ys[j]
-            total += c
-        desc.append(total)
+    desc = [c.eval_complex((x, y)) for c in reversed(construct.build_pn(n).coefficients_in("z"))]
     if not all(cmath.isfinite(c) for c in desc):
         raise RootFindingFailure("polynomial coefficients are not finite")
     try:
@@ -345,7 +300,7 @@ def roots_match_pn(x: complex, y: complex, n: int, tol: float) -> bool:
         order, floor = sorted(target, key=abs, reverse=True), 1.0
         factors = [1.0] + [math.ldexp(1.0, -e) for e in ranked]
     lift = math.frexp(max(abs(x), abs(y)))[1]
-    xs, ys = _powers(_ldexp(x, -lift), n), _powers(_ldexp(y, -lift), n)
+    xs, ys = ([v ** e for e in range(n + 1)] for v in (_ldexp(x, -lift), _ldexp(y, -lift)))
     rows, got = [], []
     try:
         for k, (b, row) in enumerate(_pn_unit_rows(n)):

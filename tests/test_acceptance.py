@@ -52,7 +52,6 @@ def _clear_caches():
     construct.cyclotomic.cache_clear()
     construct._t_power_rows.cache_clear()
     mvgroup._pn_unit_rows.cache_clear()
-    mvgroup._pn_z_rows.cache_clear()
     mvgroup._unity.cache_clear()
     symdecomp.elementary.cache_clear()
 

@@ -191,8 +191,9 @@ class TestDefiningProduct:
 class TestTermOrder:
     @pytest.mark.parametrize("n", range(1, 41))
     def test_rising_z_degree_then_y(self, n):
-        # Polynomial.eval_complex sums in this order, so it fixes the bits
-        # of the numeric axiom checks
+        # Polynomial.eval_complex and roots_match_pn's row sums over
+        # mvgroup._pn_unit_rows add terms in this order, so it fixes the
+        # bits that the numeric axiom checks depend on
         p = build_pn(n)
         expected = [(k - i, i, n - k) for k in range(n + 1) for i in range(k + 1)
                     if p.coefficient((k - i, i, n - k))]
