@@ -167,7 +167,7 @@ def cmd_axioms(args) -> int:
         x = _sample_disk(rng)
         y = _sample_disk(rng)
         z = _sample_disk(rng)
-        if mvgroup.mul_n(0, x, n) == [x] * n:
+        if mvgroup.eq_multiset(mvgroup.mul_n(0, x, n), [x] * n, tol):
             unit += 1
         if mvgroup.contains_zero(mvgroup.mul_n(mvgroup.inv(x, n), x, n), tol):
             inverse += 1

@@ -2,7 +2,8 @@
 
 The product of x and y is the n-multiset [(x^(1/n) + eps^r y^(1/n))^n] over
 the n-th roots of unity eps^r, with principal-branch roots; the result is
-independent of the branch chosen.  Unit is 0, inverse is (-1)^n x.
+independent of the branch chosen.  Every product, a zero operand's and
+n = 1's too, is this formula.  Unit is 0, inverse is (-1)^n x.
 Multisets are equal when some bijection pairs their values within a
 scale-aware tolerance: the order given, then the orders sorted by real
 part, are tried first, and an exact bipartite matching (Kuhn's augmenting
@@ -41,29 +42,12 @@ def nth_root(x: complex, n: int) -> complex:
 
 
 def mul_n(x: complex, y: complex, n: int) -> list[complex]:
-    """The n-multiset product of x and y.
-
-    Zero operands short-circuit: the unit axiom gives [other]*n exactly,
-    with no root-of-unity rounding.
-    """
+    """The n-multiset product of x and y, (a + eps^r b)^n for r = 1..n with
+    a and b the principal roots of x and y, for every n >= 1 and every
+    operand, 0 included."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _mul(x, y, n, None, None)
-
-
-def _mul(x, y, n: int, a, b) -> list[complex]:
-    # mul_n for n >= 1, given the principal roots a of x and b of y where
-    # the caller has them already, None where not
-    if n == 1:
-        return [complex(x) + complex(y)]
-    if x == 0:
-        return [complex(y)] * n
-    if y == 0:
-        return [complex(x)] * n
-    if a is None:
-        a = nth_root(x, n)
-    if b is None:
-        b = nth_root(y, n)
+    a, b = nth_root(x, n), nth_root(y, n)
     return [(a + w * b) ** n for w in _unity(n)]
 
 
@@ -174,25 +158,25 @@ def check_associativity(x: complex, y: complex, z: complex, n: int, tol: float) 
     value of y*z, is eps^k_s (b + eps^(s+1) c), and the root q_u of
     (a + eps^(u+1) b)^n is eps^m_u (a + eps^(u+1) b), so left[s n + t] pairs
     with right[u n + t'] for u = t + k_s and t' = u + s + 1 + m_u (mod n).
-    The products are _mul's, bit for bit.  Where _mul takes a shortcut or a
-    value of y*z or x*y is zero or not finite, no label is read and both
-    sides go to eq_multiset in _mul's order.
+    The products are mul_n's, bit for bit, for every input.  A zero r_s or
+    q_u takes label 0, since its row, (a + eps^t 0)^n or (0 + eps^t c)^n,
+    is one value n times.  A value of y*z or x*y that is not finite makes
+    the verdict False, as eq_multiset's would be.
     """
-    yz = mul_n(y, z, n)
+    yz, xy = mul_n(y, z, n), mul_n(x, y, n)
+    if not all(map(cmath.isfinite, yz + xy)):
+        return False
     a, b, c = nth_root(x, n), nth_root(y, n), nth_root(z, n)
-    xy = _mul(x, y, n, a, b)
-    if n == 1 or 0 in (x, z) or 0 in yz + xy or not all(map(cmath.isfinite, yz + xy)):
-        left = [w for v in yz for w in _mul(x, v, n, a, None)]
-        return eq_multiset(left, [w for v in xy for w in _mul(v, z, n, None, c)], tol)
     unity, turn = _unity(n), n / (2 * math.pi)    # turn: a label's steps per radian
-    rs, qs = ([cmath.exp(cmath.log(v) / n) for v in vs] for vs in (yz, xy))  # nth_root, v != 0
+    rs, qs = ([nth_root(v, n) for v in vs] for vs in (yz, xy))
     left = [(a + w * r) ** n for r in rs for w in unity]
     turned = []                   # row u of the right side turned by u + 1 + m_u
     for u, q in enumerate(qs):
         row = [(q + w * c) ** n for w in unity]
-        i = (round(cmath.phase(q / (a + unity[u] * b)) * turn) + u + 1) % n
+        m = round(cmath.phase(q / (a + unity[u] * b)) * turn) if q else 0
+        i = (m + u + 1) % n
         turned.append(row[i:] + row[:i])
-    ks = [round(cmath.phase(r / (b + w * c)) * turn) % n for r, w in zip(rs, unity)]
+    ks = [round(cmath.phase(r / (b + w * c)) * turn) % n if r else 0 for r, w in zip(rs, unity)]
     aligned = itertools.chain.from_iterable(col[k:] + col[:k] for k, col in zip(ks, zip(*turned)))
     return eq_multiset(left, list(aligned), tol)
 

@@ -1,13 +1,15 @@
+import cmath
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from nvalue import cli, conjectures
+from nvalue import cli, conjectures, mvgroup
 from nvalue.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -142,9 +144,22 @@ class TestAxiomsCommand:
         code, out = run_cli(capsys, "axioms", "--n", "2", "--samples", "25",
                             "--tol", "1e-7", "--seed", "42")
         assert code == 0
+        assert "unit: 25/25" in out
         assert "associativity: 25/25" in out
         assert "roots-vs-multiset: 25/25" in out
         assert out.strip().endswith("overall: pass")
+
+    @pytest.mark.parametrize("name, broken", (
+        ("nth_root", lambda nth_root: lambda x, n: nth_root(x, n) * (1 + 1e-6)),
+        ("_unity", lambda unity: lambda n: tuple(w * cmath.exp(1e-6j) for w in unity(n)))),
+        ids=("nth_root", "_unity"))
+    def test_unit_count_can_fail(self, capsys, monkeypatch, name, broken):
+        # the unit is checked through the product formula, so a broken
+        # principal root or root of unity shows in its count
+        monkeypatch.setattr(mvgroup, name, broken(getattr(mvgroup, name)))
+        code, out = run_cli(capsys, "axioms", "--n", "4", "--samples", "20")
+        assert code == 1
+        assert int(re.search(r"^unit: (\d+)/20$", out, re.M)[1]) < 20
 
     def test_deterministic_given_seed(self, capsys):
         _, first = run_cli(capsys, "axioms", "--n", "3", "--samples", "10",
