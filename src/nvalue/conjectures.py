@@ -91,6 +91,15 @@ def format_factored(a: int) -> str:
     return _signed_product(a, factorize(abs(a)))
 
 
+def _scan(n: int, kind: str, verdict) -> ScanReport:
+    # one entry per partition, verdict(part, a) its verdict and detail
+    g = decompose(build_pn(n))
+    coefficients = {part: g.coefficient(*part) for part in partitions3(n)}
+    checks = tuple(CheckEntry(part, a, *verdict(part, a)) for part, a in coefficients.items())
+    failed = any(c.verdict == "fail" for c in checks)
+    return ScanReport(n, kind, checks, "fail" if failed else "pass")
+
+
 def scan_prime_power(n: int) -> ScanReport:
     """For n = p^m: every coefficient but the leading one divisible by p.
 
@@ -101,38 +110,28 @@ def scan_prime_power(n: int) -> ScanReport:
     if pm is None:
         raise NotPrimePower(f"{n} is not a prime power")
     p, _ = pm
-    g = decompose(build_pn(n))
-    checks = []
-    failed = False
-    for part in partitions3(n):
-        a = g.coefficient(*part)
+
+    def verdict(part, a):
         if part == (n, 0, 0):
-            checks.append(CheckEntry(part, a, "info", "leading coefficient, exempt"))
-        elif a % p == 0:
-            checks.append(CheckEntry(part, a, "pass", f"divisible by {p}"))
-        else:
-            failed = True
-            checks.append(CheckEntry(part, a, "fail",
-                                     f"NOT divisible by {p}: potential counterexample"))
-    return ScanReport(n, "prime-power", tuple(checks), "fail" if failed else "pass")
+            return "info", "leading coefficient, exempt"
+        if a % p == 0:
+            return "pass", f"divisible by {p}"
+        return "fail", f"NOT divisible by {p}: potential counterexample"
+
+    return _scan(n, "prime-power", verdict)
 
 
 def scan_even_nonzero(n: int) -> ScanReport:
     """For even n: every partition of n into <= 3 parts has a nonzero A."""
     if n % 2:
         raise NotEven(f"{n} is odd")
-    g = decompose(build_pn(n))
-    checks = []
-    failed = False
-    for part in partitions3(n):
-        a = g.coefficient(*part)
+
+    def verdict(part, a):
         if a != 0:
-            checks.append(CheckEntry(part, a, "pass", "nonzero"))
-        else:
-            failed = True
-            checks.append(CheckEntry(part, a, "fail",
-                                     "vanishing coefficient: potential counterexample"))
-    return ScanReport(n, "even-nonzero", tuple(checks), "fail" if failed else "pass")
+            return "pass", "nonzero"
+        return "fail", "vanishing coefficient: potential counterexample"
+
+    return _scan(n, "even-nonzero", verdict)
 
 
 def factor_report(n: int) -> ScanReport:

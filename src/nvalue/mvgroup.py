@@ -5,12 +5,13 @@ the n-th roots of unity eps^r, with principal-branch roots; the result is
 independent of the branch chosen.  Every product, a zero operand's and
 n = 1's too, is this formula.  Unit is 0, inverse is (-1)^n x.
 Multisets are equal when some bijection pairs their values within a
-scale-aware tolerance: the order given, then the orders sorted by real
-part, are tried first, and an exact bipartite matching (Kuhn's augmenting
-paths) decides when neither pairs.  The z-roots of p_n are checked against
-the product with no root finding, by Vieta's formulas and the Weierstrass
-correction at each predicted root, each value taken at a scale at which it
-does not underflow; _pn_unit_rows is the one cached float table of p_n.
+scale-aware tolerance: the order given is tried first, and an exact
+bipartite matching (Kuhn's augmenting paths), over the pairs whose real
+parts lie within a window, decides when it does not pair.  The z-roots of
+p_n are checked against the product with no root finding, by Vieta's
+formulas and the Weierstrass correction at each predicted root, each value
+taken at a scale at which it does not underflow; _pn_unit_rows is the one
+cached float table of p_n.
 pn_roots, np.roots over the coefficients Polynomial.eval_complex gives, is
 a cross-check reference that no command calls; it alone imports numpy,
 inside the call.
@@ -18,11 +19,11 @@ inside the call.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import math
 import operator
-from collections import defaultdict
 from functools import lru_cache
 from itertools import repeat
 
@@ -66,23 +67,15 @@ def eq_multiset(a, b, tol: float) -> bool:
     """Multiset equality: some bijection pairs every p in a with a q in b
     such that |p - q| <= tol * max(1, |p|, |q|).
 
-    The order given, then the orders sorted by real part, are tried as the
-    bijection; when some pair fails in each, a perfect matching in the
-    tolerance graph decides.  This accepts every input a minimum-cost
-    matching accepts, and also those whose minimum-cost matching has one
-    pair out of tolerance while another bijection has none.
+    The order given is tried as the bijection first; when some pair fails
+    in it, a perfect matching in the tolerance graph decides, so every
+    input is decided exactly.
     """
     if len(a) != len(b):
         return False
     if not all(map(cmath.isfinite, itertools.chain(a, b))):
         return False                      # isclose(inf, inf) holds
-    close = _close(tol)
-    if all(map(close, a, b)) or all(map(close, sorted(a, key=_REAL), sorted(b, key=_REAL))):
-        return True
-    return _has_perfect_matching(_tolerance_graph(a, b, close))
-
-
-_REAL = operator.attrgetter("real")
+    return all(map(_close(tol), a, b)) or _has_perfect_matching(_tolerance_graph(a, b, tol))
 
 
 def _close(tol: float):
@@ -91,18 +84,25 @@ def _close(tol: float):
     return lambda p, q: cmath.isclose(p, q, rel_tol=tol, abs_tol=tol)
 
 
-def _tolerance_graph(a, b, close) -> list[list[int]]:
-    """For each value of a, the indices of the values of b within
-    tolerance.  Equal values share one candidate list, so a cluster of
-    repeated values costs one comparison per distinct pair."""
-    columns = defaultdict(list)            # value of b -> its indices
-    for v, q in enumerate(b):
-        columns[q].append(v)
-    found = {}                             # value of a -> its candidates
+def _tolerance_graph(a, b, tol: float) -> list[list[int]]:
+    """For each value p of a, the indices of the values of b within
+    tolerance of it.
+
+    Such a q has |Re p - Re q| <= |p - q| <= tol * max(1, |p|) / (1 - tol),
+    so only the values of b whose real part lies within twice that of
+    Re p, a window found by bisection in b sorted by real part, are tested;
+    the factor 2 covers rounding, and for tol >= 1 the window is all of b.
+    Well-separated values cost one bisection and a few tests each.
+    """
+    close = _close(tol)
+    order = sorted(range(len(b)), key=lambda v: b[v].real)
+    reals = [b[v].real for v in order]
+    rows = []
     for p in a:
-        if p not in found:
-            found[p] = [v for q, vs in columns.items() if close(p, q) for v in vs]
-    return [found[p] for p in a]
+        w = 2 * tol * max(1.0, abs(p)) / (1 - tol) if tol < 1 else math.inf
+        window = order[bisect.bisect_left(reals, p.real - w):bisect.bisect_right(reals, p.real + w)]
+        rows.append([v for v in window if close(p, b[v])])
+    return rows
 
 
 def _has_perfect_matching(adj) -> bool:

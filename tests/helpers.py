@@ -2,6 +2,7 @@
 
 import itertools
 
+from nvalue import mvgroup
 from nvalue.polyring import Polynomial
 
 XYZ = ("x", "y", "z")
@@ -82,3 +83,23 @@ def oracle_hull_vertices(points):
         if not covered:
             out.add(p)
     return out
+
+
+def count_comparisons(monkeypatch):
+    """Wrap mvgroup._close so that every tolerance comparison is counted;
+    the one-element list returned holds the count, a step count that does
+    not depend on the machine."""
+    count = [0]
+    close_for = mvgroup._close
+
+    def counted_close(tol):
+        close = close_for(tol)
+
+        def counted(p, q):
+            count[0] += 1
+            return close(p, q)
+
+        return counted
+
+    monkeypatch.setattr(mvgroup, "_close", counted_close)
+    return count

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import count_comparisons
 
 from nvalue import cli, conjectures, mvgroup
 from nvalue.cli import main
@@ -190,6 +191,18 @@ class TestAxiomsCommand:
         code, out = run_cli(capsys, "axioms", *argv)
         assert code == 0
         assert out.strip().endswith("overall: pass")
+
+    def test_failing_samples_cost_bounded_comparisons(self, capsys, monkeypatch):
+        # each sample fails associativity at this tol, so its two sides of
+        # 47^2 values reach the tolerance graph: an all-pairs graph makes
+        # 19 518 942 comparisons here, the real-part window about 61 000
+        count = count_comparisons(monkeypatch)
+        code, out = run_cli(capsys, "axioms", "--n", "47", "--samples", "4",
+                            "--tol", "3e-15", "--seed", "1")
+        assert code == 1
+        assert out.splitlines()[1:] == ["unit: 0/4", "inverse: 4/4", "associativity: 0/4",
+                                        "roots-vs-multiset: 4/4", "overall: FAIL"]
+        assert count[0] <= 100_000
 
 
 class TestUsageErrors:

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from helpers import count_comparisons
 
 from nvalue import construct, mvgroup
 from nvalue.mvgroup import (
@@ -72,7 +73,7 @@ def _forbid_fallbacks(monkeypatch):
     def forbidden(*args):
         raise AssertionError("eq_multiset left the order given")
 
-    monkeypatch.setattr(mvgroup, "_REAL", forbidden)
+    monkeypatch.setattr(mvgroup, "_tolerance_graph", forbidden)
     monkeypatch.setattr(mvgroup, "_has_perfect_matching", forbidden)
 
 
@@ -225,21 +226,22 @@ class TestEqMultiset:
     @pytest.mark.parametrize("last, expected", ((3e-8 + 1j, True),
                                                 (3e-8 + 1.1j, False)))
     def test_sorted_orders_do_not_pair(self, monkeypatch, last, expected):
-        # in the order given and sorted by real part, 0j meets 3e-8 + 1j, so
-        # only the matching can find 0j <-> 5e-8, 6e-8 + 1j <-> 3e-8 + 1j
+        # in the order given 0j meets 3e-8 + 1j, so the matching decides:
+        # 0j <-> 5e-8, 6e-8 + 1j <-> 3e-8 + 1j, each row holding only the
+        # values within tolerance
         calls = self._spy_matching(monkeypatch)
         assert eq_multiset([0j, 6e-8 + 1j], [last, 5e-8 + 0j], 1e-7) is expected
         assert calls == [[[1], [0] if expected else []]]
 
     def test_order_given_tried_first(self, monkeypatch):
-        # sorted by real part, 0j would meet 3e-8 + 1j
+        # the order given pairs, so no tolerance graph is built
         _forbid_fallbacks(monkeypatch)
         assert eq_multiset([0j, 6e-8 + 1j], [5e-8 + 0j, 3e-8 + 1j], 1e-7)
 
     @pytest.mark.parametrize("size", (256, 1024))
     def test_large_cluster(self, size):
-        # one outlier breaks the sorted zip, so the matching sees a
-        # complete bipartite cluster of size - 1 values on each side
+        # the order given pairs the cluster; the matching on a complete
+        # bipartite graph of the same size takes one step per row
         a = [1e-8 + 0j] * (size - 1) + [1j]
         b = [0j] * (size - 1) + [1e-8 + 1j]
         assert eq_multiset(a, b, 1e-7)
@@ -257,6 +259,83 @@ class TestEqMultiset:
             scale = np.maximum(1.0, np.maximum(np.abs(av[rows]), np.abs(bv[cols])))
             if np.all(cost[rows, cols] <= 1e-7 * scale):
                 assert eq_multiset(a, b, 1e-7), (a, b)
+
+
+_TOLS = (5e-324, 1e-15, 3e-15, 1e-9, 1e-7, 0.1, 0.9, 1, 2, 1e308)
+
+
+def _near(rng, c, tol):
+    # c moved by about tol * max(1, |c|), in its real part alone (the
+    # window's edge) or in any direction; c itself where that is not finite
+    step = tol * rng.choice((0.5, 1, 2)) * max(1, abs(c))
+    offset = step if rng.random() < 0.5 else step * cmath.exp(2j * math.pi * rng.random())
+    moved = c + rng.choice((-1, 1)) * offset
+    return moved if cmath.isfinite(moved) else c
+
+
+def _family(rng, kind, size):
+    if kind == "random":
+        return [_disk_point(rng, 10.0 ** rng.randint(-3, 3)) for _ in range(size)]
+    if kind == "clustered":
+        centres = [_disk_point(rng) for _ in range(3)]
+        return [rng.choice(centres) + _disk_point(rng, 1e-8) for _ in range(size)]
+    if kind == "repeated":
+        return [rng.choice((0j, 1 + 1j, -2.5, 0.5j)) for _ in range(size)]
+    if kind == "near zero":
+        return [rng.choice((0j, -0.0, 5e-324, -1e-323j, 1e-310 + 1e-320j, 1e-300))
+                + _disk_point(rng, 1e-320) for _ in range(size)]
+    return [_disk_point(rng, 1e300) for _ in range(size)]              # about 1e300
+
+
+class TestToleranceGraph:
+    """The real-part window of _tolerance_graph drops no value within
+    tolerance, and eq_multiset decides as a brute-force matching does."""
+
+    @pytest.mark.parametrize("kind", ("random", "clustered", "repeated", "near zero", "huge"))
+    @pytest.mark.parametrize("tol", _TOLS)
+    def test_rows_equal_all_pairs(self, kind, tol):
+        rng = random.Random(f"{kind} {tol}")
+        close = mvgroup._close(tol)
+        neighbours = 0
+        for _ in range(20):
+            a = _family(rng, kind, rng.randint(0, 30))
+            b = [_near(rng, p, tol) if rng.random() < 0.7 else p for p in a]
+            b += _family(rng, kind, 5)
+            rng.shuffle(b)
+            graph = mvgroup._tolerance_graph(a, b, tol)
+            assert len(graph) == len(a)
+            for p, row in zip(a, graph):
+                assert sorted(row) == [v for v, q in enumerate(b) if close(p, q)], (p, tol)
+                neighbours += len(row)
+        assert neighbours
+
+    @pytest.mark.parametrize("tol", _TOLS)
+    def test_verdict_equals_brute_force_matching(self, tol):
+        rng = random.Random(f"matching {tol}")
+        close = mvgroup._close(tol)
+        verdicts = set()
+        for kind in ("random", "clustered", "repeated", "near zero", "huge"):
+            for _ in range(60):
+                a = _family(rng, kind, rng.randint(0, 6))
+                b = [_near(rng, p, tol) for p in a]
+                rng.shuffle(b)
+                expected = any(all(map(close, a, perm)) for perm in itertools.permutations(b))
+                assert eq_multiset(a, b, tol) is expected, (a, b, tol)
+                verdicts.add(expected)
+        assert True in verdicts
+
+    def test_separated_values_cost_linear_comparisons(self, monkeypatch):
+        # 4096 values a unit apart, reversed so that the order given fails
+        # at once: each row's window holds one value, against the 4096^2
+        # comparisons of an all-pairs graph
+        m = 4096
+        a = [complex(k, k % 7) for k in range(m)]
+        count = count_comparisons(monkeypatch)
+        assert eq_multiset(a, a[::-1], 1e-7)
+        assert count[0] <= 2 * m
+        count[0] = 0
+        assert not eq_multiset(a, a[-2::-1] + [1e6 + 0j], 1e-7)      # one outlier
+        assert count[0] <= 2 * m
 
 
 class TestAssociativity:
