@@ -133,6 +133,8 @@ def _report_text(report: conjectures.ScanReport) -> str:
 
 
 def cmd_scan(args) -> int:
+    if args.max_n < 2:
+        raise ValueError("scan requires --max-n >= 2")
     # each report is written as soon as it is computed; JSON as one list
     fn = _SCAN_FN[args.kind]
     as_json = args.format == "json"
@@ -239,9 +241,6 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    if getattr(args, "max_n", None) is not None and args.max_n < 2:
-        print("error: scan requires --max-n >= 2", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError, OSError) as exc:

@@ -10,6 +10,9 @@ provided and must agree exactly:
 
 * ``build_pn_cyclo`` expands the defining product symbolically inside the
   cyclotomic quotient ring Z[t]/Phi_n(t), where eps is represented by t.
+  An element is a plain list of its deg Phi_n components, Polynomials in
+  u, v, z; a power t^m is reduced through one table of n rows, read at
+  m % n, since Phi_n divides t^n - 1 and so t^n = 1.
   The product is Galois-invariant, so every t-power above t^0 cancels;
   the surviving constant is a polynomial in u, v, z with u^n, v^n standing
   for (-1)^n x, (-1)^n y.
@@ -32,7 +35,6 @@ in t.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from functools import lru_cache
 
 from .polyring import NonIntegralCoefficient, Polynomial, half_row_to_sp, sp_to_half_row
@@ -44,16 +46,6 @@ _XY = ("x", "y")
 
 class NonConstantInT(ArithmeticError):
     """The cyclotomic product kept a residual t-dependence (internal bug)."""
-
-
-class CyclotomicPoly(namedtuple("CyclotomicPoly", "n coeffs")):
-    """Phi_n as an ascending integer coefficient tuple; always monic."""
-
-    __slots__ = ()
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -73,125 +65,83 @@ def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic(n: int) -> CyclotomicPoly:
-    """n-th cyclotomic polynomial by exact division of t^n - 1."""
+def cyclotomic(n: int) -> tuple[int, ...]:
+    """Phi_n as its ascending, monic integer coefficient tuple, by exact
+    division of t^n - 1."""
     if n < 1:
         raise ValueError("order must be >= 1")
     num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num = _exact_div(num, cyclotomic(d).coeffs)
-    return CyclotomicPoly(n, tuple(num))
+            num = _exact_div(num, cyclotomic(d))
+    return tuple(num)
 
 
 @lru_cache(maxsize=None)
-def _t_power_rows(n: int, upto: int) -> tuple[tuple[int, ...], ...]:
-    """Integer vectors expressing t^m mod Phi_n for m = 0..upto."""
+def _t_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row m holds the integer components of t^m mod Phi_n, m = 0..n-1.
+
+    Phi_n divides t^n - 1, so t^m = t^(m % n) and these n rows serve
+    every power.
+    """
     phi = cyclotomic(n)
-    deg = phi.degree
-    # t^deg = -(c_0 + c_1 t + ... + c_{deg-1} t^{deg-1})
-    top = tuple(-c for c in phi.coeffs[:deg])
-    rows = [tuple(1 if i == m else 0 for i in range(deg)) for m in range(min(deg, upto + 1))]
-    for m in range(deg, upto + 1):
-        prev = rows[m - 1]
-        shifted = [0] + list(prev[:deg - 1])
-        carry = prev[deg - 1]
-        if carry:
-            for i in range(deg):
-                shifted[i] += carry * top[i]
-        rows.append(tuple(shifted))
+    deg = len(phi) - 1
+    rows = [tuple(int(i == m) for i in range(deg)) for m in range(deg)]
+    for _ in range(deg, n):
+        # t times the last row, with t^deg = -(phi_0 + ... + phi_(deg-1) t^(deg-1))
+        prev = rows[-1]
+        rows.append(tuple(s - prev[-1] * c for s, c in zip((0,) + prev[:-1], phi)))
     return tuple(rows)
 
 
-class CycloElement:
-    """Residue class in Z[t]/Phi_n with Polynomial coefficients in (u, v, z)."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs):
-        deg = cyclotomic(n).degree
-        coeffs = tuple(coeffs)
-        if len(coeffs) != deg:
-            raise ValueError(f"expected {deg} components, got {len(coeffs)}")
-        self.n = n
-        self.coeffs = coeffs
-
-    @classmethod
-    def one(cls, n: int) -> "CycloElement":
-        deg = cyclotomic(n).degree
-        comps = [Polynomial.one(_UVZ)] + [Polynomial.zero(_UVZ)] * (deg - 1)
-        return cls(n, comps)
-
-    def __mul__(self, other: "CycloElement") -> "CycloElement":
-        deg = cyclotomic(self.n).degree
-        conv: list[Polynomial | None] = [None] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                p = a * b
-                conv[i + j] = p if conv[i + j] is None else conv[i + j] + p
-        rows = _t_power_rows(self.n, 2 * deg - 2)
-        out: list[Polynomial | None] = [None] * deg
-        for m, cm in enumerate(conv):
-            if cm is None or not cm:
-                continue
-            for i, r in enumerate(rows[m]):
+def _reduce(conv: list[Polynomial], n: int) -> list[Polynomial]:
+    """The components at t^0..t^(deg-1) of sum conv[m] t^m mod Phi_n."""
+    rows = _t_rows(n)
+    out = [Polynomial.zero(_UVZ)] * len(rows[0])
+    for m, cm in enumerate(conv):
+        if cm:
+            for i, r in enumerate(rows[m % n]):
                 if r:
-                    scaled = cm * r
-                    out[i] = scaled if out[i] is None else out[i] + scaled
-        zero = Polynomial.zero(_UVZ)
-        return CycloElement(self.n, [c if c is not None else zero for c in out])
-
-
-def _root_power_factor(n: int, k: int) -> CycloElement:
-    """The factor z - (u + t^k v)^n as a CycloElement."""
-    deg = cyclotomic(n).degree
-    rows = _t_power_rows(n, n * n)
-    comps: list[dict] = [{} for _ in range(deg)]
-    for j in range(n + 1):
-        b = math.comb(n, j)
-        e = (n - j, j, 0)
-        for i, r in enumerate(rows[k * j]):
-            if r:
-                c = comps[i].get(e, 0) - b * r
-                if c:
-                    comps[i][e] = c
-                else:
-                    comps[i].pop(e, None)
-    z = (0, 0, 1)
-    comps[0][z] = comps[0].get(z, 0) + 1
-    return CycloElement(n, [Polynomial._raw(_UVZ, d) for d in comps])
-
-
-def _extract_constant(elem: CycloElement) -> Polynomial:
-    """Constant component of a t-free element; error if t survives."""
-    for i, c in enumerate(elem.coeffs[1:], start=1):
-        if c:
-            raise NonConstantInT(f"component t^{i} is nonzero: {c}")
-    return elem.coeffs[0]
+                    out[i] = out[i] + cm * r
+    return out
 
 
 @lru_cache(maxsize=None)
 def build_pn_cyclo(n: int) -> Polynomial:
     """p_n(z; x, y) by the symbolic product over all root-of-unity shifts.
 
-    Works over (u, v, z) with u^n = (-1)^n x and v^n = (-1)^n y; after the
-    product collapses to the t-constant component, exponents of u and v are
-    divided by n and the (-1)^n sign is folded into the coefficients.
+    An element of Z[t]/Phi_n is the list of its deg Phi_n components,
+    Polynomials over (u, v, z), and the factors z - (u + t^k v)^n,
+    k = 1..n, are multiplied in one at a time.  The product must be its
+    t^0 component, with every exponent of u and v a multiple of n, or
+    NonConstantInT is raised; u^(ni) v^(nj) is then (-1)^(n(i+j)) x^i y^j.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    prod = CycloElement.one(n)
+    prod = [Polynomial.one(_UVZ)]
     for k in range(1, n + 1):
-        prod = prod * _root_power_factor(n, k)
-    const = _extract_constant(prod)
-    q = const.exponent_divide("u", n).exponent_divide("v", n)
-    if n % 2:
-        q = q.map_terms(lambda e, c: -c if (e[0] + e[1]) % 2 else c)
-    return q.rename_vars({"u": "x", "v": "y"})
+        # z - (u + t^k v)^n = z - sum_j C(n, j) u^(n-j) v^j t^(kj)
+        comps = [{} for _ in range(n)]
+        comps[0][(0, 0, 1)] = 1
+        for j in range(n + 1):
+            comps[k * j % n][(n - j, j, 0)] = -math.comb(n, j)
+        factor = _reduce([Polynomial._raw(_UVZ, d) for d in comps], n)
+        conv = [Polynomial.zero(_UVZ)] * (len(prod) + len(factor) - 1)
+        for i, a in enumerate(prod):
+            for j, b in enumerate(factor):
+                if a and b:
+                    conv[i + j] = conv[i + j] + a * b
+        prod = _reduce(conv, n)
+    for i, c in enumerate(prod[1:], start=1):
+        if c:
+            raise NonConstantInT(f"component t^{i} is nonzero: {c}")
+    terms = {}
+    for (a, b, c), coeff in prod[0]._terms.items():
+        (i, ra), (j, rb) = divmod(a, n), divmod(b, n)
+        if ra or rb:
+            raise NonConstantInT(f"u^{a} v^{b} is not a power of u^n, v^n")
+        terms[(i, j, c)] = -coeff if n % 2 and (i + j) % 2 else coeff
+    return Polynomial._raw(_XYZ, terms)
 
 
 def _power_sum_half(n: int, m: int) -> list[int]:
@@ -292,8 +242,6 @@ def restrict_y0(n: int) -> Polynomial:
 
 
 __all__ = [
-    "CycloElement",
-    "CyclotomicPoly",
     "NonConstantInT",
     "build_pn",
     "build_pn_cyclo",

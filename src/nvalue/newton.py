@@ -68,16 +68,6 @@ def convex_hull_2d(points) -> list[tuple[int, int]]:
     return lower[:-1] + upper[:-1]
 
 
-def _degree(f: Polynomial) -> int:
-    """Degree of f, checked to be a nonzero homogeneous 3-variable form."""
-    if not f:
-        raise ZeroPolynomial("zero polynomial")
-    degree = f.homogeneous_degree()
-    if len(f.vars) != 3 or degree is None:
-        raise ValueError("need a homogeneous polynomial in 3 variables")
-    return degree
-
-
 def newton_polytope(f: Polynomial) -> NewtonPolytope:
     """Convex hull of the support of f as a NewtonPolytope.
 
@@ -86,7 +76,11 @@ def newton_polytope(f: Polynomial) -> NewtonPolytope:
     column is never a vertex, so the hull of a finite set is the hull of
     its column extremes, at most 2 (degree + 1) points.
     """
-    degree = _degree(f)
+    if not f:
+        raise ZeroPolynomial("zero polynomial")
+    degree = f.homogeneous_degree()
+    if len(f.vars) != 3 or degree is None:
+        raise ValueError("need a homogeneous polynomial in 3 variables")
     low, high = {}, {}
     for i, j, _ in f.support():
         if low.get(i, j) >= j:
@@ -145,9 +139,8 @@ def render_svg(f: Polynomial) -> str:
     Unit grid in light gray, support points as filled circles, hull as a
     closed path.  Output is byte-stable for golden-file comparison.
     """
-    _degree(f)
+    hull = newton_polytope(f).vertices
     pts = sorted({(e[0], e[1]) for e in f.support()})
-    hull = convex_hull_2d(pts)
     extent = max(max(max(p) for p in pts), 1)
     size = 2 * _SVG_MARGIN + extent * _SVG_SCALE
 

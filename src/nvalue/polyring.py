@@ -19,10 +19,6 @@ class VariableMismatch(ValueError):
     """Operands were built over different variable lists."""
 
 
-class IndivisibleExponent(ValueError):
-    """An exponent was not divisible by the requested divisor."""
-
-
 class NonIntegralCoefficient(ValueError):
     """An exact integer division left a remainder."""
 
@@ -301,27 +297,6 @@ class Polynomial:
             if e[i] == 0:
                 out[e[:i] + e[i + 1:]] = c
         return Polynomial._raw(new_vars, out)
-
-    def exponent_divide(self, var, n: int) -> "Polynomial":
-        """Divide every exponent of ``var`` by n; they must all be divisible."""
-        if n < 1:
-            raise ValueError("divisor must be >= 1")
-        i = self._var_index(var)
-        out = {}
-        for e, c in self._terms.items():
-            q, r = divmod(e[i], n)
-            if r:
-                raise IndivisibleExponent(
-                    f"exponent {e[i]} of {self.vars[i]} not divisible by {n}")
-            out[e[:i] + (q,) + e[i + 1:]] = c
-        return Polynomial._raw(self.vars, out)
-
-    def rename_vars(self, mapping: dict) -> "Polynomial":
-        """Rename variables in place (order preserved)."""
-        new_vars = tuple(mapping.get(v, v) for v in self.vars)
-        if len(set(new_vars)) != len(new_vars):
-            raise ValueError(f"renaming collides: {new_vars}")
-        return Polynomial._raw(new_vars, dict(self._terms))
 
     def coefficients_in(self, var) -> list["Polynomial"]:
         """Coefficients of the powers of ``var``, index = power, over the rest."""

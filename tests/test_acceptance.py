@@ -50,7 +50,7 @@ def _clear_caches():
     construct.build_pn_cyclo.cache_clear()
     construct.build_pn_newton_identities.cache_clear()
     construct.cyclotomic.cache_clear()
-    construct._t_power_rows.cache_clear()
+    construct._t_rows.cache_clear()
     mvgroup._pn_unit_rows.cache_clear()
     mvgroup._unity.cache_clear()
     symdecomp.elementary.cache_clear()

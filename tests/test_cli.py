@@ -139,6 +139,12 @@ class TestScanCommand:
     def test_max_n_below_two_is_usage_error(self, capsys):
         assert main(["scan", "--kind", "factors", "--max-n", "1"]) == 2
 
+    def test_max_n_below_two_creates_no_output(self, tmp_path, capsys):
+        target = tmp_path / "scan.txt"
+        assert main(["scan", "--kind", "factors", "--max-n", "1", "-o", str(target)]) == 2
+        assert capsys.readouterr().err == "error: scan requires --max-n >= 2\n"
+        assert not target.exists()
+
 
 class TestAxiomsCommand:
     def test_sweep_passes(self, capsys):

@@ -8,9 +8,7 @@ import pytest
 
 from nvalue import construct
 from nvalue.construct import (
-    CycloElement,
     NonConstantInT,
-    _extract_constant,
     build_pn,
     build_pn_cyclo,
     build_pn_newton_identities,
@@ -54,10 +52,10 @@ def _poly_divmod(num, den):
 
 class TestCyclotomic:
     def test_order_1(self):
-        assert cyclotomic(1).coeffs == (-1, 1)
+        assert cyclotomic(1) == (-1, 1)
 
     def test_order_4(self):
-        assert cyclotomic(4).coeffs == (1, 0, 1)
+        assert cyclotomic(4) == (1, 0, 1)
 
     def test_order_12_against_long_division(self):
         # independent oracle: divide t^12 - 1 by the hand-listed proper factors
@@ -71,18 +69,29 @@ class TestCyclotomic:
         num = [-1] + [0] * 11 + [1]
         q, rem = _poly_divmod(num, den)
         assert not any(rem)
-        assert cyclotomic(12).coeffs == tuple(q) == (1, 0, -1, 0, 1)
+        assert cyclotomic(12) == tuple(q) == (1, 0, -1, 0, 1)
 
     def test_monic_with_right_degree(self):
         phis = {2: 1, 3: 2, 5: 4, 6: 2, 8: 4, 9: 6, 10: 4, 12: 4}
         for n, deg in phis.items():
             c = cyclotomic(n)
-            assert c.coeffs[-1] == 1
-            assert c.degree == deg
+            assert c[-1] == 1
+            assert len(c) - 1 == deg
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             cyclotomic(0)
+
+    def test_t_rows_against_long_division(self):
+        # row m % n is the remainder of t^m on division by Phi_n
+        for n in range(1, 13):
+            phi = cyclotomic(n)
+            deg = len(phi) - 1
+            for m in range(n * n + 1):
+                num = [0] * max(m + 1, deg)
+                num[m] = 1
+                _, rem = _poly_divmod(num, phi)
+                assert construct._t_rows(n)[m % n] == tuple(rem), (n, m)
 
 
 class TestPowerSum:
@@ -244,15 +253,17 @@ class TestRestriction:
 
 
 class TestErrors:
-    def test_nonconstant_in_t_detected(self):
-        u = Polynomial.variable("u", ("u", "v", "z"))
-        elem = CycloElement(3, [u, Polynomial.one(("u", "v", "z"))])
-        with pytest.raises(NonConstantInT):
-            _extract_constant(elem)
-
-    def test_component_count_enforced(self):
-        with pytest.raises(ValueError):
-            CycloElement(3, [Polynomial.one(("u", "v", "z"))])
+    def test_nonconstant_in_t_detected(self, monkeypatch):
+        # modulo t^n - 1 in place of Phi_n, the product keeps a t-dependence
+        monkeypatch.setattr(construct, "cyclotomic", lambda n: (-1,) + (0,) * (n - 1) + (1,))
+        construct._t_rows.cache_clear()
+        try:
+            with pytest.raises(NonConstantInT):
+                build_pn_cyclo.__wrapped__(4)
+        finally:
+            # start both caches cold again, as a fresh process would
+            construct._t_rows.cache_clear()
+            build_pn_cyclo.cache_clear()
 
     def test_inexact_division_raises(self, monkeypatch):
         # all-ones power sums give 2 e_2 = x*y, which no integer row solves;

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from nvalue.polyring import (
-    IndivisibleExponent,
     Polynomial,
     VariableMismatch,
     half_row_to_sp,
@@ -133,21 +132,6 @@ class TestSubstituteZero:
 
     def test_result_var_list(self):
         assert (x * y).substitute_zero(0).vars == ("y", "z")
-
-
-class TestExponentDivide:
-    def test_basic(self):
-        f = Polynomial(("u", "v"), {(2, 2): 1})
-        assert f.exponent_divide("u", 2) == Polynomial(("u", "v"), {(1, 2): 1})
-
-    def test_multiple_terms(self):
-        f = Polynomial(("u",), {(3,): 1, (6,): 1})
-        assert f.exponent_divide("u", 3) == Polynomial(("u",), {(1,): 1, (2,): 1})
-
-    def test_indivisible_raises(self):
-        f = Polynomial(("u",), {(1,): 1, (0,): 1})
-        with pytest.raises(IndivisibleExponent):
-            f.exponent_divide("u", 2)
 
 
 class TestSymmetryAndDegree:
