@@ -5,8 +5,9 @@ elementary-symmetric basis, computes their Newton polytopes, checks the
 group axioms numerically, and scans coefficient conjectures.
 
 Each name lives in its defining module (``from nvalue.construct import
-build_pn``).  No command loads numpy; only ``mvgroup.pn_roots``, which
-runs ``np.roots`` over the coefficients ``Polynomial.eval_complex`` gives
-and is a cross-check reference that no command calls, imports it, inside
-the call.
+build_pn``).  The package declares no runtime dependency, and no command
+loads numpy.  Only ``mvgroup.pn_roots``, which runs ``np.roots`` over the
+coefficients ``Polynomial.eval_complex`` gives and is a cross-check
+reference that no command calls, imports it, inside the call; it needs
+numpy installed.
 """

@@ -140,23 +140,19 @@ def factor_report(n: int) -> ScanReport:
     Exploratory only: there is no pass/fail semantics for the prime-factor
     relationship.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    g = decompose(build_pn(n))
     n_primes = {p for p, _ in factorize(n)} if n > 1 else set()
-    checks = []
-    for part in partitions3(n):
-        a = g.coefficient(*part)
+
+    def verdict(part, a):
         if a == 0:
-            checks.append(CheckEntry(part, 0, "info", "absent"))
-            continue
+            return "info", "absent"
         primes = factorize(abs(a))
         detail = _signed_product(a, primes)
         shared = sorted(n_primes & {p for p, _ in primes})
         if shared:
             detail += f" (shares {', '.join(map(str, shared))} with n)"
-        checks.append(CheckEntry(part, a, "info", detail))
-    return ScanReport(n, "factors", tuple(checks), "exploratory")
+        return "info", detail
+
+    return _scan(n, "factors", verdict)._replace(overall="exploratory")
 
 
 __all__ = [

@@ -16,7 +16,7 @@ provided and must agree exactly:
   The product is Galois-invariant, so every t-power above t^0 cancels;
   the surviving constant is a polynomial in u, v, z with u^n, v^n standing
   for (-1)^n x, (-1)^n y.
-* ``build_pn_newton_identities`` computes the power sums of the n roots
+* ``build_pn``, the default, computes the power sums of the n roots
   in closed form and converts them to elementary symmetric functions via
   Newton's identities, dividing exactly.  Each e_k is a symmetric binary
   form, kept as its integer row in s = x + y and p = xy, where a product
@@ -41,7 +41,6 @@ from .polyring import NonIntegralCoefficient, Polynomial, half_row_to_sp, sp_to_
 
 _UVZ = ("u", "v", "z")
 _XYZ = ("x", "y", "z")
-_XY = ("x", "y")
 
 
 class NonConstantInT(ArithmeticError):
@@ -145,7 +144,17 @@ def build_pn_cyclo(n: int) -> Polynomial:
 
 
 def _power_sum_half(n: int, m: int) -> list[int]:
-    """Entries i = 0..floor(m/2) of P_m, the coefficients of x^(m-i) y^i."""
+    """Entries i = 0..floor(m/2) of P_m, the coefficients of x^(m-i) y^i.
+
+    P_m is the sum of the m-th powers of the n roots (u + eps^k v)^n, in x
+    and y.  Expanding (u + eps^k v)^{nm} and summing over k kills every
+    binomial term whose v-exponent is not a multiple of n, leaving the
+    closed form
+
+        P_m = (-1)^{nm} * n * sum_{i=0..m} C(nm, ni) x^{m-i} y^i,
+
+    symmetric in x and y as C(nm, ni) = C(nm, n(m-i)).
+    """
     c = -n if (n * m) % 2 else n
     half = [c]
     # C(nm, ni + n) = C(nm, ni) * perm(nm - ni, n) / perm(ni + n, n), exactly;
@@ -156,24 +165,8 @@ def _power_sum_half(n: int, m: int) -> list[int]:
     return half
 
 
-def power_sum(n: int, m: int) -> Polynomial:
-    """Sum of the m-th powers of the n roots (u + eps^k v)^n, in x and y.
-
-    Expanding (u + eps^k v)^{nm} and summing over k kills every binomial
-    term whose v-exponent is not a multiple of n, leaving the closed form
-
-        P_m = (-1)^{nm} * n * sum_{i=0..m} C(nm, ni) x^{m-i} y^i,
-
-    symmetric in x and y as C(nm, ni) = C(nm, n(m-i)).
-    """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    half = _power_sum_half(n, m)
-    return Polynomial._raw(_XY, {(m - i, i): half[min(i, m - i)] for i in range(m + 1)})
-
-
 @lru_cache(maxsize=None)
-def build_pn_newton_identities(n: int) -> Polynomial:
+def build_pn(n: int) -> Polynomial:
     """p_n(z; x, y) via power sums and Newton's identities.
 
     Every e_k of the n roots is a symmetric binary form of degree k, so it
@@ -231,11 +224,6 @@ def build_pn_newton_identities(n: int) -> Polynomial:
     return Polynomial._raw(_XYZ, terms)
 
 
-def build_pn(n: int) -> Polynomial:
-    """Default construction of p_n (the fast power-sum route)."""
-    return build_pn_newton_identities(n)
-
-
 def restrict_y0(n: int) -> Polynomial:
     """p_n(z; x, 0) over (x, z); equals (z - (-1)^n x)^n."""
     return build_pn(n).substitute_zero("y")
@@ -245,8 +233,6 @@ __all__ = [
     "NonConstantInT",
     "build_pn",
     "build_pn_cyclo",
-    "build_pn_newton_identities",
     "cyclotomic",
-    "power_sum",
     "restrict_y0",
 ]

@@ -184,7 +184,8 @@ def check_associativity(x: complex, y: complex, z: complex, n: int, tol: float) 
 def pn_roots(x: complex, y: complex, n: int) -> list[complex]:
     """Numeric z-roots of p_n(. ; x, y) via the companion matrix, over the
     coefficients Polynomial.eval_complex gives; a cross-check reference
-    that no command calls."""
+    that no command calls.  It needs numpy installed, which the package
+    does not declare."""
     import numpy as np
     desc = [c.eval_complex((x, y)) for c in reversed(construct.build_pn(n).coefficients_in("z"))]
     if not all(cmath.isfinite(c) for c in desc):

@@ -158,11 +158,6 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def _var_index(self, var) -> int:
-        if isinstance(var, str):
-            return self.vars.index(var)
-        return range(len(self.vars))[var]
-
     def _require_same_vars(self, other: "Polynomial") -> None:
         if self.vars != other.vars:
             raise VariableMismatch(f"{self.vars} vs {other.vars}")
@@ -290,7 +285,7 @@ class Polynomial:
 
     def substitute_zero(self, var) -> "Polynomial":
         """Set one variable to zero; the result lives over the remaining ones."""
-        i = self._var_index(var)
+        i = self.vars.index(var)
         new_vars = self.vars[:i] + self.vars[i + 1:]
         out = {}
         for e, c in self._terms.items():
@@ -300,7 +295,7 @@ class Polynomial:
 
     def coefficients_in(self, var) -> list["Polynomial"]:
         """Coefficients of the powers of ``var``, index = power, over the rest."""
-        i = self._var_index(var)
+        i = self.vars.index(var)
         new_vars = self.vars[:i] + self.vars[i + 1:]
         top = max((e[i] for e in self._terms), default=0)
         buckets: list[dict] = [{} for _ in range(top + 1)]
@@ -308,26 +303,12 @@ class Polynomial:
             buckets[e[i]][e[:i] + e[i + 1:]] = c
         return [Polynomial._raw(new_vars, b) for b in buckets]
 
-    def map_terms(self, fn) -> "Polynomial":
-        """New polynomial with coefficients fn(exps, coeff); zeros dropped."""
-        out = {}
-        for e, c in self._terms.items():
-            nc = fn(e, c)
-            if nc:
-                out[e] = nc
-        return Polynomial._raw(self.vars, out)
-
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
         """JSON-ready dict; coefficients as decimal strings, canonical order."""
         terms = [{"e": list(e), "c": str(c)} for e, c in self.sorted_terms()]
         return {"vars": list(self.vars), "terms": terms}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Polynomial":
-        terms = {tuple(t["e"]): int(t["c"]) for t in data["terms"]}
-        return cls(tuple(data["vars"]), terms)
 
     # -- printing --------------------------------------------------------------
 

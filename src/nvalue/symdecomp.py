@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from functools import lru_cache
 
 from .construct import build_pn
 from .polyring import Polynomial, format_terms, half_row_to_sp
@@ -32,7 +31,6 @@ class InvalidPartition(ValueError):
     """Key is not a weakly decreasing partition of the degree."""
 
 
-@lru_cache(maxsize=None)
 def elementary(vars: tuple[str, ...], k: int) -> Polynomial:
     """k-th elementary symmetric polynomial over the given variables."""
     m = len(vars)
@@ -80,25 +78,17 @@ class EBasisPolynomial(namedtuple("EBasisPolynomial", "n coeffs")):
         """Partitions in descending order with their coefficients."""
         return sorted(self.coeffs.items(), key=lambda kv: kv[0], reverse=True)
 
-    def table_order_items(self) -> list[tuple[tuple[int, int, int], int]]:
-        """Terms ordered by rising powers of e2 then e3 (table style)."""
-        return sorted(self.coeffs.items(), key=lambda kv: (kv[0][2], kv[0][1]))
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "terms": [{"k": list(k), "A": str(a)} for k, a in self.sorted_items()],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "EBasisPolynomial":
-        coeffs = {tuple(t["k"]): int(t["A"]) for t in data["terms"]}
-        return cls(int(data["n"]), coeffs)
-
     def text(self, fmt=str) -> str:
         """Table-style rendering, e.g. 'e1^2 - 4 e2'; ``fmt`` renders each |A|."""
-        terms = (((k1 - k2, k2 - k3, k3), a)
-                 for (k1, k2, k3), a in self.table_order_items())
+        # rising powers of e3, then of e2
+        items = sorted(self.coeffs.items(), key=lambda kv: (kv[0][2], kv[0][1]))
+        terms = (((k1 - k2, k2 - k3, k3), a) for (k1, k2, k3), a in items)
         return format_terms(("e1", "e2", "e3"), terms, " ", fmt)
 
     def __str__(self) -> str:

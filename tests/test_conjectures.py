@@ -145,6 +145,11 @@ class TestFactorReport:
         assert rep.checks[0].partition == (1, 0, 0)
         assert rep.checks[0].coefficient == 1
 
+    def test_rejects_nonpositive(self):
+        # raised by build_pn, before any coefficient is factored
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            factor_report(0)
+
     def test_factorizations_multiply_back(self):
         for n in range(1, 9):
             for c in factor_report(n).checks:

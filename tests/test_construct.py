@@ -11,9 +11,7 @@ from nvalue.construct import (
     NonConstantInT,
     build_pn,
     build_pn_cyclo,
-    build_pn_newton_identities,
     cyclotomic,
-    power_sum,
     restrict_y0,
 )
 from nvalue.polyring import NonIntegralCoefficient, Polynomial
@@ -95,37 +93,31 @@ class TestCyclotomic:
 
 
 class TestPowerSum:
+    # half rows: entries i <= m/2 of P_m, the coefficients of x^(m-i) y^i
     def test_n1_m1(self):
-        assert power_sum(1, 1) == Polynomial(("x", "y"), {(1, 0): -1, (0, 1): -1})
+        assert construct._power_sum_half(1, 1) == [-1]
 
     def test_n2_m1(self):
-        assert power_sum(2, 1) == Polynomial(("x", "y"), {(1, 0): 2, (0, 1): 2})
+        assert construct._power_sum_half(2, 1) == [2]
 
     def test_n2_m2(self):
-        assert power_sum(2, 2) == Polynomial(
-            ("x", "y"), {(2, 0): 2, (1, 1): 12, (0, 2): 2})
+        # 2 x^2 + 12 x y + 2 y^2
+        assert construct._power_sum_half(2, 2) == [2, 12]
 
     def test_closed_form(self):
+        # P_m = (-1)^(nm) n sum_i C(nm, ni) x^(m-i) y^i; the builder reads i <= m/2
         for n in range(1, 13):
             for m in range(1, 13):
                 sign = (-1) ** (n * m)
-                assert power_sum(n, m) == Polynomial(("x", "y"), {
-                    (m - i, i): sign * n * math.comb(n * m, n * i) for i in range(m + 1)})
-
-    def test_builder_half_row(self):
-        # the builder reads entries i <= m/2 of P_m, the coefficients of x^(m-i) y^i
-        for n in range(1, 13):
-            for m in range(1, 13):
-                p = power_sum(n, m)
                 assert construct._power_sum_half(n, m) == [
-                    p.coefficient((m - i, i)) for i in range(m // 2 + 1)]
+                    sign * n * math.comb(n * m, n * i) for i in range(m // 2 + 1)]
 
     def test_against_numeric_root_sum(self):
         # sum the m-th powers of the actual complex roots directly
         rng = random.Random(21)
         for n in range(1, 6):
             for m in range(1, 5):
-                p = power_sum(n, m)
+                half = construct._power_sum_half(n, m)
                 for _ in range(5):
                     xv = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                     yv = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -135,7 +127,9 @@ class TestPowerSum:
                     total = sum(
                         ((u + cmath.exp(2j * cmath.pi * k / n) * v) ** n) ** m
                         for k in range(1, n + 1))
-                    got = p.eval_complex((xv, yv))
+                    # the half row mirrored: C(nm, ni) = C(nm, n(m-i))
+                    got = sum(half[min(i, m - i)] * xv ** (m - i) * yv ** i
+                              for i in range(m + 1))
                     assert abs(got - total) <= 1e-8 * max(1.0, abs(total))
 
 
@@ -159,21 +153,18 @@ class TestGoldenTables:
 class TestDualAlgorithm:
     def test_agreement_up_to_10(self):
         for n in range(1, 11):
-            assert build_pn_cyclo(n) == build_pn_newton_identities(n)
+            assert build_pn_cyclo(n) == build_pn(n)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("n", range(13, 17))
     def test_agreement_past_12(self, n):
-        assert build_pn_cyclo(n) == build_pn_newton_identities(n)
-
-    def test_default_route(self):
-        assert build_pn(6) == build_pn_newton_identities(6)
+        assert build_pn_cyclo(n) == build_pn(n)
 
     def test_p2_by_hand(self):
         # e1(w) = 2(x+y), e2(w) = (x-y)^2 from the two power sums
         e1w = 2 * (x + y)
         e2w = (x - y) ** 2
-        assert build_pn_newton_identities(2) == z ** 2 - e1w * z + e2w
+        assert build_pn(2) == z ** 2 - e1w * z + e2w
 
 
 class TestDefiningProduct:
@@ -270,12 +261,10 @@ class TestErrors:
         # n = 3 is the least n whose table reads e_2
         monkeypatch.setattr(construct, "_power_sum_half", lambda n, m: [1] * (m // 2 + 1))
         with pytest.raises(NonIntegralCoefficient):
-            build_pn_newton_identities.__wrapped__(3)
+            build_pn.__wrapped__(3)
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             build_pn_cyclo(0)
         with pytest.raises(ValueError):
-            build_pn_newton_identities(0)
-        with pytest.raises(ValueError):
-            power_sum(0, 1)
+            build_pn(0)

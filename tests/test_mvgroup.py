@@ -18,6 +18,7 @@ from nvalue.mvgroup import (
     pn_roots,
     roots_match_pn,
 )
+from nvalue.polyring import Polynomial
 
 
 def _disk_point(rng, radius=1.0):
@@ -522,8 +523,9 @@ class TestRootsMatch:
                 for spot in {max(middle, key=lambda t: abs(t[1]))[0], middle[0][0]}:
                     c = pn.coefficient(spot)
                     for changed in (c + 1, c - 1, c + (c // 1000 or 1)):
-                        mutant = pn.map_terms(lambda e, c, spot=spot, changed=changed:
-                                              changed if e == spot else c)
+                        # in the builder's term order, which fixes
+                        # _pn_unit_rows' float sums
+                        mutant = Polynomial(pn.vars, {**pn._terms, spot: changed})
                         monkeypatch.setattr(construct, "build_pn", lambda m, n=n, mutant=mutant:
                                             mutant if m == n else build_pn(m))
                         # pn_roots reads build_pn on every call, with no cache
