@@ -1,13 +1,16 @@
 """Scans over the e-basis coefficients of p_n.
 
-Two machine-checkable scans (prime-power divisibility and non-vanishing
-for even n) plus an exploratory factorization report.  Scans report what
-they compute; a failing check is a potential counterexample and is
-flagged, never suppressed.
+The paper's Proposition (the closed form of every e3-free coefficient),
+two machine-checkable conjectures (prime-power divisibility and
+non-vanishing for even n) and an exploratory factorization report, all
+on one loop over the partitions of n.  Scans report what they compute; a
+failing check is a potential counterexample and is flagged, never
+suppressed.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from .construct import build_pn
@@ -31,8 +34,8 @@ class CheckEntry(namedtuple("CheckEntry", "partition coefficient verdict detail"
 class ScanReport(namedtuple("ScanReport", "n kind checks overall")):
     """Per-partition verdicts for one n; every partition appears once.
 
-    ``kind`` is prime-power, even-nonzero or factors; ``overall`` is pass,
-    fail or exploratory.
+    ``kind`` is proposition, prime-power, even-nonzero or factors;
+    ``overall`` is pass, fail or exploratory.
     """
 
     __slots__ = ()
@@ -98,6 +101,27 @@ def _scan(n: int, kind: str, verdict) -> ScanReport:
     checks = tuple(CheckEntry(part, a, *verdict(part, a)) for part, a in coefficients.items())
     failed = any(c.verdict == "fail" for c in checks)
     return ScanReport(n, kind, checks, "fail" if failed else "pass")
+
+
+def verify_proposition(n: int) -> ScanReport:
+    """The paper's Proposition: the closed form of A_{k1,k2,0}, k2 >= 1.
+
+    Odd n: every such coefficient vanishes (the y = 0 restriction is a
+    pure power of x + z).  Even n = 2k: A_{2k-i,i,0} = (-4)^i C(k, i),
+    from expanding (z - x)^n = ((x + z)^2 - 4xz)^k.  Every other
+    partition is an info entry.
+    """
+
+    def verdict(part, a):
+        _, k2, k3 = part
+        if k3 or not k2:
+            return "info", "outside the closed form"
+        expected = 0 if n % 2 else (-4) ** k2 * math.comb(n // 2, k2)
+        if a == expected:
+            return "pass", "equals the closed form"
+        return "fail", f"closed form gives {expected}: potential counterexample"
+
+    return _scan(n, "proposition", verdict)
 
 
 def scan_prime_power(n: int) -> ScanReport:
@@ -166,4 +190,5 @@ __all__ = [
     "prime_power",
     "scan_even_nonzero",
     "scan_prime_power",
+    "verify_proposition",
 ]

@@ -76,7 +76,6 @@ def cyclotomic(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-@lru_cache(maxsize=None)
 def _t_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Row m holds the integer components of t^m mod Phi_n, m = 0..n-1.
 
@@ -93,9 +92,9 @@ def _t_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce(conv: list[Polynomial], n: int) -> list[Polynomial]:
-    """The components at t^0..t^(deg-1) of sum conv[m] t^m mod Phi_n."""
-    rows = _t_rows(n)
+def _reduce(conv: list[Polynomial], rows) -> list[Polynomial]:
+    """Components t^0..t^(deg-1) of sum conv[m] t^m mod Phi_n; rows = _t_rows(n)."""
+    n = len(rows)
     out = [Polynomial.zero(_UVZ)] * len(rows[0])
     for m, cm in enumerate(conv):
         if cm:
@@ -117,6 +116,7 @@ def build_pn_cyclo(n: int) -> Polynomial:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    rows = _t_rows(n)
     prod = [Polynomial.one(_UVZ)]
     for k in range(1, n + 1):
         # z - (u + t^k v)^n = z - sum_j C(n, j) u^(n-j) v^j t^(kj)
@@ -124,13 +124,13 @@ def build_pn_cyclo(n: int) -> Polynomial:
         comps[0][(0, 0, 1)] = 1
         for j in range(n + 1):
             comps[k * j % n][(n - j, j, 0)] = -math.comb(n, j)
-        factor = _reduce([Polynomial._raw(_UVZ, d) for d in comps], n)
+        factor = _reduce([Polynomial._raw(_UVZ, d) for d in comps], rows)
         conv = [Polynomial.zero(_UVZ)] * (len(prod) + len(factor) - 1)
         for i, a in enumerate(prod):
             for j, b in enumerate(factor):
                 if a and b:
                     conv[i + j] = conv[i + j] + a * b
-        prod = _reduce(conv, n)
+        prod = _reduce(conv, rows)
     for i, c in enumerate(prod[1:], start=1):
         if c:
             raise NonConstantInT(f"component t^{i} is nonzero: {c}")
@@ -210,9 +210,6 @@ def build_pn(n: int) -> Polynomial:
             row.append(q)
         elem.append(row)
     half_rows = [sp_to_half_row(row, k) for k, row in enumerate(elem)]
-    # insertion order (rising k, then i) fixes the floating-point sums of
-    # Polynomial.eval_complex and of mvgroup.roots_match_pn's row sums over
-    # _pn_unit_rows, which the numeric axiom checks depend on
     terms = {}
     for k in range(n + 1):
         for i in range(k + 1):

@@ -202,14 +202,14 @@ def pn_roots(x: complex, y: complex, n: int) -> list[complex]:
 @lru_cache(maxsize=None)
 def _pn_unit_rows(n: int):
     """The coefficients of z^n, ..., z^0 in p_n, each as (b, terms): the
-    term c x^i y^j, in the builder's order, as (i, j, c / 2^b) correctly
+    term c x^i y^j, in falling powers of x, as (i, j, c / 2^b) correctly
     rounded, with 2^b above every |c| of the row.  Each entry is at most 1
     in modulus, so no row leaves double range at any n; one below 2^-1074
     of its row's largest becomes 0."""
     rows = []
     for poly in reversed(construct.build_pn(n).coefficients_in("z")):
         b = max(map(abs, poly._terms.values())).bit_length()
-        rows.append((b, tuple((i, j, c / 2 ** b) for (i, j), c in poly._terms.items())))
+        rows.append((b, tuple((i, j, c / 2 ** b) for (i, j), c in poly.sorted_terms())))
     return tuple(rows)
 
 

@@ -98,12 +98,8 @@ def is_k_simplex(p: NewtonPolytope, k: int) -> bool:
     return set(p.vertices) == {(k, 0, 0), (0, k, 0), (0, 0, k)}
 
 
-class TheoremReport(namedtuple("TheoremReport", "degree vertices passed")):
-    __slots__ = ()
-
-
-def verify_theorem(f: Polynomial) -> TheoremReport:
-    """Check that the support hull of f is the size-k standard simplex.
+def verify_theorem(f: Polynomial) -> bool:
+    """True iff the support hull of f is the size-k standard simplex.
 
     Hypotheses (all validated, raising HypothesisNotMet): f is symmetric,
     homogeneous of some degree k >= 1, and contains the pure power of its
@@ -123,8 +119,7 @@ def verify_theorem(f: Polynomial) -> TheoremReport:
     pure = tuple(k if i == 0 else 0 for i in range(nvars))
     if pure not in f.support():
         raise HypothesisNotMet(f"contains {f.vars[0]}^{k}")
-    p = newton_polytope(f)
-    return TheoremReport(k, p.vertices, is_k_simplex(p, k))
+    return is_k_simplex(newton_polytope(f), k)
 
 
 # -- SVG rendering ------------------------------------------------------------
@@ -173,7 +168,6 @@ def render_svg(f: Polynomial) -> str:
 __all__ = [
     "HypothesisNotMet",
     "NewtonPolytope",
-    "TheoremReport",
     "ZeroPolynomial",
     "convex_hull_2d",
     "is_k_simplex",

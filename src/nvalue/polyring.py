@@ -270,7 +270,7 @@ class Polynomial:
             raise ValueError(f"point has {len(point)} entries for {len(self.vars)} variables")
         pt = [complex(v) for v in point]
         total = 0j
-        for exps, coeff in self._terms.items():
+        for exps, coeff in self.sorted_terms():
             term = _to_complex(coeff)
             try:
                 for v, e in zip(pt, exps):

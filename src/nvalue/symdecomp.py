@@ -15,7 +15,6 @@ import itertools
 import math
 from collections import namedtuple
 
-from .construct import build_pn
 from .polyring import Polynomial, format_terms, half_row_to_sp
 
 
@@ -165,58 +164,13 @@ def recompose(g: EBasisPolynomial, vars=("x", "y", "z")) -> Polynomial:
     return acc
 
 
-class PropositionCheck(namedtuple("PropositionCheck", "partition expected actual")):
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.actual
-
-
-class PropositionReport(namedtuple("PropositionReport", "n checks")):
-    """Closed-form check of the e3-free coefficients of p_n."""
-
-    __slots__ = ()
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def verify_proposition(n: int) -> PropositionReport:
-    """Check the e3-free coefficients of p_n against their closed form.
-
-    Odd n: every A_{k1,k2,0} with k2 > 0 vanishes (the y=0 restriction is
-    a pure power of x+z).  Even n = 2k: A_{2k-i,i,0} = (-4)^i C(k,i) for
-    i = 1..k, from expanding (z-x)^n = ((x+z)^2 - 4xz)^k.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    g = decompose(build_pn(n))
-    checks = []
-    if n % 2:
-        for k2 in range(1, n // 2 + 1):
-            checks.append(PropositionCheck((n - k2, k2, 0), 0,
-                                           g.coefficient(n - k2, k2, 0)))
-    else:
-        k = n // 2
-        for i in range(1, k + 1):
-            expected = (-4) ** i * math.comb(k, i)
-            checks.append(PropositionCheck((2 * k - i, i, 0), expected,
-                                           g.coefficient(2 * k - i, i, 0)))
-    return PropositionReport(n, tuple(checks))
-
-
 __all__ = [
     "EBasisPolynomial",
     "InvalidPartition",
     "NotHomogeneous",
     "NotSymmetric",
-    "PropositionCheck",
-    "PropositionReport",
     "decompose",
     "elementary",
     "partitions3",
     "recompose",
-    "verify_proposition",
 ]

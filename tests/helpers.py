@@ -1,11 +1,25 @@
 """Shared test utilities: random generators and independent oracles."""
 
+import importlib
 import itertools
+import pkgutil
 
+import nvalue
 from nvalue import mvgroup
 from nvalue.polyring import Polynomial
 
 XYZ = ("x", "y", "z")
+
+
+def _caches():
+    """Every module-level lru_cache in nvalue, by qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(nvalue.__path__):
+        module = importlib.import_module(f"nvalue.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__:
+                found[f"{module.__name__}.{name}"] = obj
+    return found
 
 
 def random_poly(rng, vars=XYZ, max_terms=8, max_exp=6, max_coeff=10 ** 6):

@@ -17,6 +17,7 @@ from nvalue.polyring import Polynomial
 
 from helpers import (
     XYZ,
+    _caches,
     oracle_hull_vertices,
     random_poly,
     random_symmetric_homogeneous,
@@ -47,12 +48,8 @@ def criterion(num, description):
 
 
 def _clear_caches():
-    construct.build_pn_cyclo.cache_clear()
-    construct.build_pn.cache_clear()
-    construct.cyclotomic.cache_clear()
-    construct._t_rows.cache_clear()
-    mvgroup._pn_unit_rows.cache_clear()
-    mvgroup._unity.cache_clear()
+    for cache in _caches().values():
+        cache.cache_clear()
 
 
 def test_criterion_1_golden_tables():

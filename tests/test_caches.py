@@ -1,30 +1,19 @@
 """Every functools.lru_cache in nvalue is cleared by the acceptance suite's
 ``_clear_caches``, so its timed criteria start cold."""
 
-import importlib
-import pkgutil
 import re
 from pathlib import Path
 
 import nvalue
 from nvalue import construct, mvgroup, symdecomp
 
+from helpers import _caches
 from test_acceptance import _clear_caches
-
-
-def _caches():
-    found = {}
-    for info in pkgutil.iter_modules(nvalue.__path__):
-        module = importlib.import_module(f"nvalue.{info.name}")
-        for name, obj in vars(module).items():
-            if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__:
-                found[f"{module.__name__}.{name}"] = obj
-    return found
 
 
 def test_clear_caches_empties_every_cache():
     caches = _caches()
-    # every decorator in the source is one module-level cache found above
+    # every decorator in the source is one module-level cache _caches finds
     decorators = sum(len(re.findall(r"^\s*@(?:functools\.)?lru_cache\b", p.read_text(), re.M))
                      for p in Path(nvalue.__file__).parent.glob("*.py"))
     assert len(caches) == decorators

@@ -13,8 +13,10 @@ from nvalue.conjectures import (
     prime_power,
     scan_even_nonzero,
     scan_prime_power,
+    verify_proposition,
 )
-from nvalue.symdecomp import partitions3
+from nvalue.construct import build_pn
+from nvalue.symdecomp import EBasisPolynomial, decompose, partitions3
 
 
 class TestPartitions:
@@ -64,6 +66,51 @@ class TestFactorize:
         assert format_factored(-1) == "-1"
         assert format_factored(0) == "0"
         assert format_factored(7 ** 8) == "7^8"
+
+
+class TestVerifyProposition:
+    @staticmethod
+    def checked(rep):
+        return [(c.partition, c.coefficient) for c in rep.checks if c.verdict != "info"]
+
+    def test_n2(self):
+        rep = verify_proposition(2)
+        assert rep.kind == "proposition"
+        assert rep.overall == "pass"
+        assert self.checked(rep) == [((1, 1, 0), -4)]
+
+    def test_n6(self):
+        rep = verify_proposition(6)
+        assert rep.overall == "pass"
+        assert self.checked(rep) == [((5, 1, 0), -12), ((4, 2, 0), 48), ((3, 3, 0), -64)]
+
+    def test_n7_all_vanish(self):
+        rep = verify_proposition(7)
+        assert rep.overall == "pass"
+        assert self.checked(rep) == [((6, 1, 0), 0), ((5, 2, 0), 0), ((4, 3, 0), 0)]
+
+    def test_wrong_coefficient_fails(self, monkeypatch):
+        # A_{4,2,0} of p_6 off by one is a counterexample, flagged as such
+        g = decompose(build_pn(6))
+        wrong = EBasisPolynomial(6, {**g.coeffs, (4, 2, 0): 49})
+        monkeypatch.setattr(conjectures, "decompose", lambda f: wrong)
+        rep = verify_proposition(6)
+        assert rep.overall == "fail"
+        assert [c.partition for c in rep.checks if c.verdict == "fail"] == [(4, 2, 0)]
+
+    def test_rejects_nonpositive(self):
+        # raised by build_pn, as for the other scans
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            verify_proposition(0)
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_range(self, n):
+        assert verify_proposition(n).overall == "pass"
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", (64, 96, 128))
+    def test_passes_at_large_n(self, n):
+        assert verify_proposition(n).overall == "pass"
 
 
 class TestScanPrimePower:

@@ -508,6 +508,25 @@ class TestRootsMatch:
         with pytest.raises(OverflowError):
             roots_match_pn(1e306, 1e306, 16, 1e-7)
 
+    @pytest.mark.parametrize("n", (7, 16, 33))
+    def test_unit_rows_ignore_term_order(self, monkeypatch, n):
+        # the rows' float sums run in falling powers of x, whatever order
+        # p_n's terms were inserted in
+        build_pn = construct.build_pn
+        pn = build_pn(n)
+        items = list(pn._terms.items())
+        random.Random(n).shuffle(items)
+        shuffled = Polynomial(pn.vars, dict(items))
+        mvgroup._pn_unit_rows.cache_clear()
+        try:
+            expected = mvgroup._pn_unit_rows(n)
+            mvgroup._pn_unit_rows.cache_clear()
+            monkeypatch.setattr(construct, "build_pn",
+                                lambda m: shuffled if m == n else build_pn(m))
+            assert mvgroup._pn_unit_rows(n) == expected
+        finally:
+            mvgroup._pn_unit_rows.cache_clear()
+
     def test_rejects_every_mutant_root_finding_rejects(self, monkeypatch):
         # p_n with one coefficient of its middle z-row changed, by +-1 or by
         # about 1e-3 of itself, on its largest and on its first term: where
@@ -523,8 +542,6 @@ class TestRootsMatch:
                 for spot in {max(middle, key=lambda t: abs(t[1]))[0], middle[0][0]}:
                     c = pn.coefficient(spot)
                     for changed in (c + 1, c - 1, c + (c // 1000 or 1)):
-                        # in the builder's term order, which fixes
-                        # _pn_unit_rows' float sums
                         mutant = Polynomial(pn.vars, {**pn._terms, spot: changed})
                         monkeypatch.setattr(construct, "build_pn", lambda m, n=n, mutant=mutant:
                                             mutant if m == n else build_pn(m))

@@ -177,14 +177,12 @@ class TestIsKSimplex:
 class TestVerifyTheorem:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_pn_passes(self, n):
-        rep = verify_theorem(build_pn(n))
-        assert rep.passed
-        assert rep.degree == n
+        assert verify_theorem(build_pn(n))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("n", (*range(13, 49), 64, 96, 128))
     def test_pn_passes_past_12(self, n):
-        assert verify_theorem(build_pn(n)).passed
+        assert verify_theorem(build_pn(n))
 
     def test_e2_lacks_pure_power(self):
         with pytest.raises(HypothesisNotMet) as err:
@@ -193,9 +191,8 @@ class TestVerifyTheorem:
 
     def test_sum_of_squares_passes(self):
         f = x * x + y * y + z * z
-        rep = verify_theorem(f)
-        assert rep.passed
-        assert set(rep.vertices) == {(2, 0, 0), (0, 2, 0), (0, 0, 2)}
+        assert verify_theorem(f)
+        assert set(newton_polytope(f).vertices) == {(2, 0, 0), (0, 2, 0), (0, 0, 2)}
 
     def test_asymmetric_rejected(self):
         with pytest.raises(HypothesisNotMet) as err:

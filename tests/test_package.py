@@ -1,5 +1,6 @@
 """The package as installed and as the benchmark's tracer sees it."""
 
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -28,3 +29,16 @@ def test_traced_names_resolve():
     for span, names in spans.METHODS.items():
         for name in names:
             assert callable(getattr(Polynomial, name, None)), (span, name)
+
+
+@pytest.mark.parametrize("module", ("polyring", "symdecomp", "newton"))
+def test_generic_modules_import_nothing_specific_to_pn(module):
+    tree = ast.parse((ROOT / "src" / "nvalue" / f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(part for a in node.names for part in a.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(a.name for a in node.names)
+    assert not imported & {"construct", "conjectures", "mvgroup", "cli"}

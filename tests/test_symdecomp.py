@@ -14,7 +14,6 @@ from nvalue.symdecomp import (
     elementary,
     partitions3,
     recompose,
-    verify_proposition,
 )
 
 from helpers import XYZ, random_symmetric_homogeneous
@@ -185,33 +184,6 @@ class TestCoefficient:
     def test_stored_zero_rejected(self):
         with pytest.raises(ValueError):
             EBasisPolynomial(2, {(2, 0, 0): 0})
-
-
-class TestVerifyProposition:
-    def test_n2(self):
-        rep = verify_proposition(2)
-        assert rep.passed
-        assert [(c.partition, c.expected) for c in rep.checks] == [((1, 1, 0), -4)]
-
-    def test_n6(self):
-        rep = verify_proposition(6)
-        assert rep.passed
-        assert [c.expected for c in rep.checks] == [-12, 48, -64]
-
-    def test_n7_all_vanish(self):
-        rep = verify_proposition(7)
-        assert rep.passed
-        assert all(c.expected == 0 for c in rep.checks)
-        assert len(rep.checks) == 3
-
-    @pytest.mark.parametrize("n", range(1, 25))
-    def test_range(self, n):
-        assert verify_proposition(n).passed
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("n", (64, 96, 128))
-    def test_passes_at_large_n(self, n):
-        assert verify_proposition(n).passed
 
 
 class TestJson:
