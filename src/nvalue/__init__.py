@@ -2,7 +2,8 @@
 
 Builds the multiplication polynomials p_n(z; x, y), expresses them in the
 elementary-symmetric basis, computes their Newton polytopes, checks the
-group axioms numerically, and scans coefficient conjectures.
+group axioms numerically, and scans the coefficient table (the paper's
+Proposition, prime-power divisibility, non-vanishing at even n).
 
 Each name lives in its defining module (``from nvalue.construct import
 build_pn``).  The package declares no runtime dependency, and no command

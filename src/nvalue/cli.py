@@ -3,7 +3,8 @@
 Subcommands:
     pn      print p_n in the monomial or elementary-symmetric basis
     newton  Newton polytope vertices, simplex verdict, optional SVG
-    scan    coefficient scans (prime-power | even-nonzero | factors)
+    scan    coefficient scans (prime-power | even-nonzero | factors |
+            proposition)
     axioms  seeded numeric sweeps of the group axioms
 
 Exit codes: 0 all checks pass, 1 a check failed (potential
@@ -98,56 +99,20 @@ def cmd_newton(args) -> int:
 
 # -- scan -------------------------------------------------------------------------
 
-_SCAN_FN = {
-    "prime-power": conjectures.scan_prime_power,
-    "even-nonzero": conjectures.scan_even_nonzero,
-    "factors": conjectures.factor_report,
-}
-
-
-def _eligible(kind: str, max_n: int) -> list[int]:
-    if kind == "prime-power":
-        return [n for n in range(2, max_n + 1) if conjectures.prime_power(n)]
-    if kind == "even-nonzero":
-        return [n for n in range(2, max_n + 1, 2)]
-    return list(range(1, max_n + 1))
-
-
-def _report_text(report: conjectures.ScanReport) -> str:
-    lines = []
-    if report.kind == "factors":
-        lines.append(f"n={report.n}")
-        for c in report.checks:
-            part = "(" + ",".join(map(str, c.partition)) + ")"
-            lines.append(f"  {part} A={c.coefficient}: {c.detail}")
-    else:
-        counted = [c for c in report.checks if c.verdict != "info"]
-        good = sum(1 for c in counted if c.verdict == "pass")
-        lines.append(f"{report.kind} n={report.n}: {report.overall} "
-                     f"({good}/{len(counted)} checks)")
-        for c in counted:
-            if c.verdict == "fail":
-                part = "(" + ",".join(map(str, c.partition)) + ")"
-                lines.append(f"  FLAG {part} A={c.coefficient}: {c.detail}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_scan(args) -> int:
     if args.max_n < 2:
         raise ValueError("scan requires --max-n >= 2")
     # each report is written as soon as it is computed; JSON as one list
-    fn = _SCAN_FN[args.kind]
     as_json = args.format == "json"
     failed = False
     with _output(args.output) as out:
         out.write("[" if as_json else "")
-        for i, n in enumerate(_eligible(args.kind, args.max_n)):
-            report = fn(n)
+        for i, report in enumerate(conjectures.scan(args.kind, args.max_n)):
             failed = failed or report.overall == "fail"
             if as_json:
                 out.write((", " if i else "") + json.dumps(report.to_json()))
             else:
-                out.write(_report_text(report))
+                out.write(report.text())
             out.flush()
         out.write("]\n" if as_json else "")
     return 1 if failed else 0
@@ -215,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_nw.set_defaults(fn=cmd_newton)
 
     p_sc = sub.add_parser("scan", help="coefficient scans over n")
-    p_sc.add_argument("--kind", choices=tuple(_SCAN_FN), required=True)
+    p_sc.add_argument("--kind", choices=tuple(conjectures.SCANS), required=True)
     p_sc.add_argument("--max-n", type=_positive_int, required=True)
     p_sc.add_argument("--format", choices=("text", "json"), default="text")
     p_sc.add_argument("--output", "-o", default=None)

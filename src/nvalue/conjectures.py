@@ -1,11 +1,11 @@
 """Scans over the e-basis coefficients of p_n.
 
 The paper's Proposition (the closed form of every e3-free coefficient),
-two machine-checkable conjectures (prime-power divisibility and
-non-vanishing for even n) and an exploratory factorization report, all
-on one loop over the partitions of n.  Scans report what they compute; a
-failing check is a potential counterexample and is flagged, never
-suppressed.
+prime-power divisibility (a theorem, by the Frobenius map mod p), the
+non-vanishing conjecture for even n and an exploratory factorization
+report, all on one loop over the partitions of n.  ``SCANS`` is the one
+table of scan kinds and ``scan`` the one loop over n.  Scans report what
+they compute; a failing check is flagged, never suppressed.
 """
 
 from __future__ import annotations
@@ -51,6 +51,20 @@ class ScanReport(namedtuple("ScanReport", "n kind checks overall")):
             ],
             "overall": self.overall,
         }
+
+    def text(self) -> str:
+        """Every entry when exploratory, else a verdict line and a FLAG line
+        per failed check."""
+        if self.overall == "exploratory":
+            lines, shown, prefix = [f"n={self.n}"], self.checks, "  "
+        else:
+            counted = [c for c in self.checks if c.verdict != "info"]
+            good = sum(c.verdict == "pass" for c in counted)
+            lines = [f"{self.kind} n={self.n}: {self.overall} ({good}/{len(counted)} checks)"]
+            shown, prefix = [c for c in counted if c.verdict == "fail"], "  FLAG "
+        lines += [f"{prefix}({','.join(map(str, c.partition))}) A={c.coefficient}: {c.detail}"
+                  for c in shown]
+        return "\n".join(lines) + "\n"
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -127,8 +141,9 @@ def verify_proposition(n: int) -> ScanReport:
 def scan_prime_power(n: int) -> ScanReport:
     """For n = p^m: every coefficient but the leading one divisible by p.
 
-    A fail verdict is a counterexample candidate and flips the overall
-    verdict to fail.
+    A theorem: mod p each root (u + eps^r v)^n is u^n + v^n, so p_n is
+    (x + y + z)^n = e1^n mod p.  A fail verdict is a fault of the
+    pipeline and flips the overall verdict to fail.
     """
     pm = prime_power(n)
     if pm is None:
@@ -179,15 +194,39 @@ def factor_report(n: int) -> ScanReport:
     return _scan(n, "factors", verdict)._replace(overall="exploratory")
 
 
+SCANS = {
+    "prime-power": scan_prime_power,
+    "even-nonzero": scan_even_nonzero,
+    "factors": factor_report,
+    "proposition": verify_proposition,
+}
+
+
+def scan(kind: str, max_n: int):
+    """Yield the ``kind`` report of each n = 1..max_n the scan applies to.
+
+    An n outside a scan's hypothesis (not a prime power, odd) raises in
+    the scan function and is skipped.
+    """
+    for n in range(1, max_n + 1):
+        try:
+            report = SCANS[kind](n)
+        except (NotPrimePower, NotEven):
+            continue
+        yield report
+
+
 __all__ = [
     "CheckEntry",
     "NotEven",
     "NotPrimePower",
+    "SCANS",
     "ScanReport",
     "factor_report",
     "factorize",
     "format_factored",
     "prime_power",
+    "scan",
     "scan_even_nonzero",
     "scan_prime_power",
     "verify_proposition",

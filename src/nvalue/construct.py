@@ -221,15 +221,9 @@ def build_pn(n: int) -> Polynomial:
     return Polynomial._raw(_XYZ, terms)
 
 
-def restrict_y0(n: int) -> Polynomial:
-    """p_n(z; x, 0) over (x, z); equals (z - (-1)^n x)^n."""
-    return build_pn(n).substitute_zero("y")
-
-
 __all__ = [
     "NonConstantInT",
     "build_pn",
     "build_pn_cyclo",
     "cyclotomic",
-    "restrict_y0",
 ]

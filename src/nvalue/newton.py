@@ -18,14 +18,6 @@ class ZeroPolynomial(ValueError):
     """The zero polynomial has no Newton polytope."""
 
 
-class HypothesisNotMet(ValueError):
-    """A hypothesis of the simplex theorem failed; names the culprit."""
-
-    def __init__(self, hypothesis: str):
-        super().__init__(f"hypothesis not met: {hypothesis}")
-        self.hypothesis = hypothesis
-
-
 class NewtonPolytope(namedtuple("NewtonPolytope", "degree vertices")):
     """Extreme lattice vertices of a support hull.
 
@@ -98,30 +90,6 @@ def is_k_simplex(p: NewtonPolytope, k: int) -> bool:
     return set(p.vertices) == {(k, 0, 0), (0, k, 0), (0, 0, k)}
 
 
-def verify_theorem(f: Polynomial) -> bool:
-    """True iff the support hull of f is the size-k standard simplex.
-
-    Hypotheses (all validated, raising HypothesisNotMet): f is symmetric,
-    homogeneous of some degree k >= 1, and contains the pure power of its
-    first variable.  Under them the hull must have exactly the k-scaled
-    unit vectors as vertices.
-    """
-    if not f:
-        raise HypothesisNotMet("nonzero")
-    if not f.is_symmetric():
-        raise HypothesisNotMet("symmetric")
-    k = f.homogeneous_degree()
-    if k is None:
-        raise HypothesisNotMet("homogeneous")
-    if k < 1:
-        raise HypothesisNotMet("positive degree")
-    nvars = len(f.vars)
-    pure = tuple(k if i == 0 else 0 for i in range(nvars))
-    if pure not in f.support():
-        raise HypothesisNotMet(f"contains {f.vars[0]}^{k}")
-    return is_k_simplex(newton_polytope(f), k)
-
-
 # -- SVG rendering ------------------------------------------------------------
 
 _SVG_SCALE = 32
@@ -166,12 +134,10 @@ def render_svg(f: Polynomial) -> str:
 
 
 __all__ = [
-    "HypothesisNotMet",
     "NewtonPolytope",
     "ZeroPolynomial",
     "convex_hull_2d",
     "is_k_simplex",
     "newton_polytope",
     "render_svg",
-    "verify_theorem",
 ]

@@ -85,7 +85,8 @@ def test_criterion_3_restriction_identity():
         zz = Polynomial.variable("z", XZ)
         for n in range(1, 13):
             sign = 1 if n % 2 == 0 else -1
-            assert construct.restrict_y0(n) == (zz - sign * xx) ** n, f"n={n}"
+            restriction = construct.build_pn(n).substitute_zero("y")
+            assert restriction == (zz - sign * xx) ** n, f"n={n}"
 
 
 def test_criterion_4_proposition():

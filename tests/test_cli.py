@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 from helpers import count_comparisons
 
-from nvalue import cli, conjectures, mvgroup
+from nvalue import conjectures, mvgroup
 from nvalue.cli import main
+from nvalue.symdecomp import EBasisPolynomial
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).resolve().parent.parent
@@ -98,26 +99,41 @@ class TestScanCommand:
         assert code == 0
         assert out == (GOLDEN / "scan_factors_7.txt").read_text()
 
-    def test_prime_power_reports(self, capsys):
-        code, out = run_cli(capsys, "scan", "--kind", "prime-power",
-                            "--max-n", "9")
-        assert code == 0
-        for n in (2, 3, 4, 5, 7, 8, 9):
-            assert f"prime-power n={n}: pass" in out
-        assert "n=6" not in out
+    @pytest.mark.parametrize("max_n", range(2, 41))
+    @pytest.mark.parametrize("kind", ("prime-power", "even-nonzero", "factors", "proposition"))
+    def test_reports_the_n_each_kind_applies_to(self, capsys, monkeypatch, kind, max_n):
+        def applies(n):
+            if kind == "prime-power":
+                primes = [p for p in range(2, n + 1) if all(p % q for q in range(2, p))]
+                return sum(n % p == 0 for p in primes) == 1
+            return kind != "even-nonzero" or n % 2 == 0
 
-    def test_even_nonzero_json(self, capsys):
-        code, out = run_cli(capsys, "scan", "--kind", "even-nonzero",
-                            "--max-n", "6", "--format", "json")
+        if kind == "factors":
+            # trial division does not finish past n = 11; the n visited do not
+            # depend on the factors found
+            monkeypatch.setattr(conjectures, "factorize", lambda m: [(m, 1)])
+        code, out = run_cli(capsys, "scan", "--kind", kind, "--max-n", str(max_n),
+                            "--format", "json")
         assert code == 0
         reports = json.loads(out)
-        assert [r["n"] for r in reports] == [2, 4, 6]
-        assert all(r["overall"] == "pass" for r in reports)
+        assert [r["n"] for r in reports] == [n for n in range(1, max_n + 1) if applies(n)]
+        overall = "exploratory" if kind == "factors" else "pass"
+        assert all(r["overall"] == overall for r in reports)
 
-    def test_thread_cap_env(self, capsys):
-        code, out = run_cli(capsys, "scan", "--kind", "factors", "--max-n", "7")
-        assert code == 0
-        assert out == (GOLDEN / "scan_factors_7.txt").read_text()
+    def test_proposition_flags_a_wrong_coefficient(self, capsys, monkeypatch):
+        # A_{4,2,0} of p_6 off by one is a counterexample to the Proposition
+        real = conjectures.decompose
+
+        def decompose(f):
+            g = real(f)
+            return EBasisPolynomial(6, {**g.coeffs, (4, 2, 0): 49}) if g.n == 6 else g
+
+        monkeypatch.setattr(conjectures, "decompose", decompose)
+        code, out = run_cli(capsys, "scan", "--kind", "proposition", "--max-n", "8")
+        assert code == 1
+        assert "proposition n=6: fail (2/3 checks)\n" \
+               "  FLAG (4,2,0) A=49: closed form gives 48: potential counterexample\n" in out
+        assert "proposition n=8: pass (4/4 checks)\n" in out
 
     def test_streams_each_report_before_the_next_n(self, tmp_path, monkeypatch):
         target = tmp_path / "scan.txt"
@@ -127,7 +143,7 @@ class TestScanCommand:
             written_before[n] = target.read_text()
             return conjectures.factor_report(n)
 
-        monkeypatch.setitem(cli._SCAN_FN, "factors", factor_report)
+        monkeypatch.setitem(conjectures.SCANS, "factors", factor_report)
         code = main(["scan", "--kind", "factors", "--max-n", "7", "-o", str(target)])
         assert code == 0
         golden = (GOLDEN / "scan_factors_7.txt").read_text()

@@ -140,6 +140,16 @@ class TestScanPrimePower:
     def test_passes_past_16(self, n):
         assert scan_prime_power(n).overall == "pass"
 
+    def test_pn_is_a_sum_of_powers_mod_p(self):
+        # the proof behind the scan: for n = p^m, p_n = x^n + y^n + z^n mod p
+        ns = [n for n in range(2, 65) if prime_power(n)]
+        assert len(ns) == 27
+        for n in ns:
+            p, _ = prime_power(n)
+            pure = {(n, 0, 0), (0, n, 0), (0, 0, n)}
+            residues = {e: c % p for e, c in build_pn(n).sorted_terms()}
+            assert residues == {e: int(e in pure) for e in residues.keys() | pure}, n
+
 
 class TestScanEvenNonzero:
     def test_n6(self):

@@ -12,7 +12,6 @@ from nvalue.construct import (
     build_pn,
     build_pn_cyclo,
     cyclotomic,
-    restrict_y0,
 )
 from nvalue.polyring import NonIntegralCoefficient, Polynomial
 from nvalue.symdecomp import decompose
@@ -206,12 +205,12 @@ class TestRestriction:
         xx = Polynomial.variable("x", XZ)
         zz = Polynomial.variable("z", XZ)
         sign = 1 if n % 2 == 0 else -1
-        assert restrict_y0(n) == (zz - sign * xx) ** n
+        assert build_pn(n).substitute_zero("y") == (zz - sign * xx) ** n
 
     def test_odd_is_pure_power_of_e1bar(self):
         XZ = ("x", "z")
         e1bar = Polynomial.variable("x", XZ) + Polynomial.variable("z", XZ)
-        assert restrict_y0(3) == e1bar ** 3
+        assert build_pn(3).substitute_zero("y") == e1bar ** 3
 
     def test_even_restrictions_match_tables(self):
         # frozen expansions of (z-x)^n in (x+z, xz) for n = 2, 4, 6, 8
@@ -228,7 +227,7 @@ class TestRestriction:
             expected = Polynomial.zero(XZ)
             for coeff, a, b in rows:
                 expected = expected + coeff * e1b ** a * e2b ** b
-            assert restrict_y0(n) == expected
+            assert build_pn(n).substitute_zero("y") == expected
 
 
 class TestErrors:

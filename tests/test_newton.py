@@ -4,16 +4,13 @@ import pytest
 
 from nvalue.construct import build_pn
 from nvalue.newton import (
-    HypothesisNotMet,
     ZeroPolynomial,
     convex_hull_2d,
     is_k_simplex,
     newton_polytope,
     render_svg,
-    verify_theorem,
 )
 from nvalue.polyring import Polynomial
-from nvalue.symdecomp import elementary
 
 from helpers import XYZ, oracle_hull_vertices
 
@@ -175,38 +172,19 @@ class TestIsKSimplex:
 
 
 class TestVerifyTheorem:
+    """The paper's theorem on the path the newton command takes."""
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_pn_passes(self, n):
-        assert verify_theorem(build_pn(n))
+        assert is_k_simplex(newton_polytope(build_pn(n)), n)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("n", (*range(13, 49), 64, 96, 128))
     def test_pn_passes_past_12(self, n):
-        assert verify_theorem(build_pn(n))
-
-    def test_e2_lacks_pure_power(self):
-        with pytest.raises(HypothesisNotMet) as err:
-            verify_theorem(elementary(XYZ, 2))
-        assert "x^2" in str(err.value)
+        assert is_k_simplex(newton_polytope(build_pn(n)), n)
 
     def test_sum_of_squares_passes(self):
-        f = x * x + y * y + z * z
-        assert verify_theorem(f)
-        assert set(newton_polytope(f).vertices) == {(2, 0, 0), (0, 2, 0), (0, 0, 2)}
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(HypothesisNotMet) as err:
-            verify_theorem(x + 2 * y + z)
-        assert err.value.hypothesis == "symmetric"
-
-    def test_inhomogeneous_rejected(self):
-        with pytest.raises(HypothesisNotMet) as err:
-            verify_theorem((x + y + z) + (x + y + z) ** 2)
-        assert err.value.hypothesis == "homogeneous"
-
-    def test_zero_rejected(self):
-        with pytest.raises(HypothesisNotMet):
-            verify_theorem(Polynomial.zero(XYZ))
+        assert is_k_simplex(newton_polytope(x * x + y * y + z * z), 2)
 
 
 class TestJson:
