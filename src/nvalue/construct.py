@@ -95,7 +95,7 @@ def _t_rows(n: int) -> tuple[tuple[int, ...], ...]:
 def _reduce(conv: list[Polynomial], rows) -> list[Polynomial]:
     """Components t^0..t^(deg-1) of sum conv[m] t^m mod Phi_n; rows = _t_rows(n)."""
     n = len(rows)
-    out = [Polynomial.zero(_UVZ)] * len(rows[0])
+    out = [Polynomial(_UVZ)] * len(rows[0])
     for m, cm in enumerate(conv):
         if cm:
             for i, r in enumerate(rows[m % n]):
@@ -104,7 +104,6 @@ def _reduce(conv: list[Polynomial], rows) -> list[Polynomial]:
     return out
 
 
-@lru_cache(maxsize=None)
 def build_pn_cyclo(n: int) -> Polynomial:
     """p_n(z; x, y) by the symbolic product over all root-of-unity shifts.
 
@@ -117,7 +116,7 @@ def build_pn_cyclo(n: int) -> Polynomial:
     if n < 1:
         raise ValueError("n must be >= 1")
     rows = _t_rows(n)
-    prod = [Polynomial.one(_UVZ)]
+    prod = [Polynomial.constant(1, _UVZ)]
     for k in range(1, n + 1):
         # z - (u + t^k v)^n = z - sum_j C(n, j) u^(n-j) v^j t^(kj)
         comps = [{} for _ in range(n)]
@@ -125,7 +124,7 @@ def build_pn_cyclo(n: int) -> Polynomial:
         for j in range(n + 1):
             comps[k * j % n][(n - j, j, 0)] = -math.comb(n, j)
         factor = _reduce([Polynomial._raw(_UVZ, d) for d in comps], rows)
-        conv = [Polynomial.zero(_UVZ)] * (len(prod) + len(factor) - 1)
+        conv = [Polynomial(_UVZ)] * (len(prod) + len(factor) - 1)
         for i, a in enumerate(prod):
             for j, b in enumerate(factor):
                 if a and b:

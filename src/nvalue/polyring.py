@@ -122,10 +122,7 @@ class Polynomial:
         return p
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, vars) -> "Polynomial":
-        return cls._raw(tuple(vars), {})
+    # the zero polynomial is Polynomial(vars), and one is constant(1, vars)
 
     @classmethod
     def constant(cls, c, vars) -> "Polynomial":
@@ -133,10 +130,6 @@ class Polynomial:
         if not c:
             return cls._raw(vars, {})
         return cls._raw(vars, {(0,) * len(vars): c})
-
-    @classmethod
-    def one(cls, vars) -> "Polynomial":
-        return cls.constant(1, vars)
 
     @classmethod
     def variable(cls, name: str, vars) -> "Polynomial":
@@ -154,9 +147,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.vars == other.vars and self._terms == other._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
 
     def _require_same_vars(self, other: "Polynomial") -> None:
         if self.vars != other.vars:
@@ -217,7 +207,7 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a non-negative int, got {k!r}")
-        result = Polynomial.one(self.vars)
+        result = Polynomial.constant(1, self.vars)
         base = self
         while k:
             if k & 1:
@@ -282,16 +272,6 @@ class Polynomial:
                 term = complex(math.inf, math.inf)
             total += term
         return total
-
-    def substitute_zero(self, var) -> "Polynomial":
-        """Set one variable to zero; the result lives over the remaining ones."""
-        i = self.vars.index(var)
-        new_vars = self.vars[:i] + self.vars[i + 1:]
-        out = {}
-        for e, c in self._terms.items():
-            if e[i] == 0:
-                out[e[:i] + e[i + 1:]] = c
-        return Polynomial._raw(new_vars, out)
 
     def coefficients_in(self, var) -> list["Polynomial"]:
         """Coefficients of the powers of ``var``, index = power, over the rest."""

@@ -54,14 +54,12 @@ class EBasisPolynomial(namedtuple("EBasisPolynomial", "n coeffs")):
 
     Each key (k1, k2, k3) with k1 >= k2 >= k3 >= 0 and k1+k2+k3 = n stands
     for the basis monomial e1^(k1-k2) e2^(k2-k3) e3^k3; ``coeffs`` maps
-    keys to nonzero integers and defaults to an empty dict.
+    keys to nonzero integers.
     """
 
     __slots__ = ()
 
-    def __new__(cls, n: int, coeffs: dict[tuple[int, int, int], int] | None = None):
-        if coeffs is None:
-            coeffs = {}
+    def __new__(cls, n: int, coeffs: dict[tuple[int, int, int], int]):
         for key, a in coeffs.items():
             _check_partition(key, n)
             if a == 0:
@@ -158,7 +156,7 @@ def recompose(g: EBasisPolynomial, vars=("x", "y", "z")) -> Polynomial:
     """Expand an e-basis combination back into the monomial basis."""
     vars = tuple(vars)
     e1, e2, e3 = (elementary(vars, k) for k in (1, 2, 3))
-    acc = Polynomial.zero(vars)
+    acc = Polynomial(vars)
     for (k1, k2, k3), a in g.sorted_items():
         acc = acc + e1 ** (k1 - k2) * e2 ** (k2 - k3) * e3 ** k3 * a
     return acc

@@ -25,7 +25,7 @@ class TestSupport:
         assert f.support() == {(2, 0), (1, 1)}
 
     def test_zero(self):
-        assert Polynomial.zero(XYZ).support() == set()
+        assert Polynomial(XYZ).support() == set()
 
     def test_p2_full_degree_two_support(self):
         expected = {(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (0, 1, 1), (1, 0, 1)}
@@ -109,7 +109,7 @@ class TestNewtonPolytope:
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomial):
-            newton_polytope(Polynomial.zero(XYZ))
+            newton_polytope(Polynomial(XYZ))
 
     def test_inhomogeneous_3var_rejected(self):
         with pytest.raises(ValueError):
@@ -209,4 +209,4 @@ class TestSvg:
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomial):
-            render_svg(Polynomial.zero(XYZ))
+            render_svg(Polynomial(XYZ))

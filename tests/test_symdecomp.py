@@ -80,7 +80,7 @@ class TestDecompose:
         assert decompose(Polynomial.constant(5, XYZ)).coeffs == {(0, 0, 0): 5}
 
     def test_zero(self):
-        assert decompose(Polynomial.zero(XYZ)) == EBasisPolynomial(0, {})
+        assert decompose(Polynomial(XYZ)) == EBasisPolynomial(0, {})
 
 
 def _symmetrize_table(f):
