@@ -61,14 +61,14 @@ def _emit(text: str, out_path: str | None) -> None:
 # -- pn ------------------------------------------------------------------------
 
 def cmd_pn(args) -> int:
-    p = construct.build_pn(args.n)
     if args.basis == "raw":
+        p = construct.build_pn(args.n)
         if args.format == "json":
             text = json.dumps(p.to_json()) + "\n"
         else:
             text = str(p) + "\n"
     else:
-        g = symdecomp.decompose(p)
+        g = symdecomp.decompose_table(args.n, construct.pn_table(args.n))
         if args.format == "json":
             text = json.dumps(g.to_json()) + "\n"
         else:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .construct import build_pn
-from .symdecomp import decompose, partitions3
+from .construct import pn_table
+from .symdecomp import decompose_table, partitions3
 
 
 class NotPrimePower(ValueError):
@@ -110,7 +110,7 @@ def format_factored(a: int) -> str:
 
 def _scan(n: int, kind: str, verdict) -> ScanReport:
     # one entry per partition, verdict(part, a) its verdict and detail
-    g = decompose(build_pn(n))
+    g = decompose_table(n, pn_table(n))
     coefficients = {part: g.coefficient(*part) for part in partitions3(n)}
     checks = tuple(CheckEntry(part, a, *verdict(part, a)) for part, a in coefficients.items())
     failed = any(c.verdict == "fail" for c in checks)

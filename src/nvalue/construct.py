@@ -16,16 +16,16 @@ provided and must agree exactly:
   The product is Galois-invariant, so every t-power above t^0 cancels;
   the surviving constant is a polynomial in u, v, z with u^n, v^n standing
   for (-1)^n x, (-1)^n y.
-* ``build_pn``, the default, computes the power sums of the n roots
+* ``pn_table``, the default, computes the power sums of the n roots
   in closed form and converts them to elementary symmetric functions via
   Newton's identities, dividing exactly.  Each e_k is a symmetric binary
   form, kept as its integer row in s = x + y and p = xy, where a product
   is a plain full convolution that needs no truncation or mirroring.
   The rows stop at k = floor(2n/3): every coefficient of p_n is read
   from a row up to there.  Each row is then converted back to its
-  half row in x, y, and the full polynomial is filled term by term, each
-  term reading the coefficient at its sorted exponent; p_n is symmetric,
-  so that is the same number.
+  half row in x, y, whose entries are p_n's coefficients at the
+  partitions k1 >= k2 >= k3 of n: about n^2/12 numbers, which fix p_n as
+  it is symmetric.  ``build_pn`` expands them into the full polynomial.
 
 Working modulo Phi_n rather than t^n - 1 is essential: modulo t^n - 1 the
 product keeps contributions from every divisor of n and is not constant
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import permutations
 
 from .polyring import NonIntegralCoefficient, Polynomial, half_row_to_sp, sp_to_half_row
 
@@ -165,8 +166,8 @@ def _power_sum_half(n: int, m: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def build_pn(n: int) -> Polynomial:
-    """p_n(z; x, y) via power sums and Newton's identities.
+def pn_table(n: int) -> dict[tuple[int, int, int], int]:
+    """p_n's nonzero coefficients at the partitions of n, by Newton's identities.
 
     Every e_k of the n roots is a symmetric binary form of degree k, so it
     is kept as its floor(k/2) + 1 coefficients at s^(k-2b) p^b, s = x + y
@@ -178,11 +179,10 @@ def build_pn(n: int) -> Polynomial:
     half row, the coefficients of x^(k-i) y^i for i <= k/2.
     p_n = sum_k (-1)^k e_k z^(n-k).
 
-    p_n is symmetric in (x, y, z), so the coefficient of each term is the
-    one at its sorted exponent (k1, k2, k3), k1 >= k2 >= k3: that of
-    x^k2 y^k3 z^k1, which is (-1)^(n-k1) times entry k3 of e_(n-k1)'s
-    half row.  As k1 >= n/3, no row past floor(2n/3) is read, and the
-    identities stop at k = floor(2n/3).
+    The coefficient at (k1, k2, k3), that of x^k2 y^k3 z^k1, is
+    (-1)^(n-k1) times entry k3 of e_(n-k1)'s half row.  As k1 >= n/3, no
+    row past floor(2n/3) is read, and the identities stop at
+    k = floor(2n/3).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -208,15 +208,19 @@ def build_pn(n: int) -> Polynomial:
                     f"e_{k} coefficient {c} of s^{k - 2 * b} p^{b} is not divisible by {k}")
             row.append(q)
         elem.append(row)
-    half_rows = [sp_to_half_row(row, k) for k, row in enumerate(elem)]
+    # entry k3 <= d/2 of a half row has k3 <= k2, and k3 >= 2d - n gives k2 <= k1
+    return {(n - d, d - k3, k3): -c if d % 2 else c
+            for d, row in enumerate(elem)
+            for k3, c in enumerate(sp_to_half_row(row, d)) if c and k3 >= 2 * d - n}
+
+
+def build_pn(n: int) -> Polynomial:
+    """p_n(z; x, y) in full: p_n is symmetric in (x, y, z), so every
+    permutation of a partition in pn_table(n) has its coefficient."""
     terms = {}
-    for k in range(n + 1):
-        for i in range(k + 1):
-            e = (k - i, i, n - k)
-            k1, _, k3 = sorted(e, reverse=True)
-            c = half_rows[n - k1][k3]
-            if c:
-                terms[e] = -c if (n - k1) % 2 else c
+    for key, c in pn_table(n).items():
+        for e in permutations(key):
+            terms[e] = c
     return Polynomial._raw(_XYZ, terms)
 
 
@@ -225,4 +229,5 @@ __all__ = [
     "build_pn",
     "build_pn_cyclo",
     "cyclotomic",
+    "pn_table",
 ]

@@ -2,11 +2,11 @@
 
 A symmetric homogeneous polynomial of degree n in three variables is a
 unique integer combination of monomials e1^(k1-k2) e2^(k2-k3) e3^k3
-indexed by partitions k1 >= k2 >= k3 >= 0 of n.  ``decompose`` rewrites
-the polynomial in s = x + y, p = xy and z, where e1 = s + z, e2 = p + zs
-and e3 = zp, and peels one power of e3 at a time with binomial
-coefficients only; ``recompose`` is its exact inverse on full
-``Polynomial`` arithmetic and the independent oracle.
+indexed by partitions k1 >= k2 >= k3 >= 0 of n.  ``decompose_table`` takes
+its coefficients at those partitions, rewrites it in s = x + y, p = xy and
+z, where e1 = s + z, e2 = p + zs and e3 = zp, and peels one power of e3 at
+a time with binomial coefficients only; ``recompose`` is its exact inverse
+on full ``Polynomial`` arithmetic and the independent oracle.
 """
 
 from __future__ import annotations
@@ -103,23 +103,9 @@ def _check_partition(key, n: int) -> None:
 
 
 def decompose(f: Polynomial) -> EBasisPolynomial:
-    """Express a symmetric homogeneous 3-variable polynomial in the e-basis.
-
-    Validates the arity, homogeneity and symmetry up front.  Then writes
-    f in s = x + y, p = xy and z: the coefficient of z^j is a symmetric
-    binary form of degree d = n - j, whose coefficient at s^(d-2b) p^b is
-    solved from f's coefficients at x^(d-i) y^i z^j, i <= d/2, as
-    s^a p^b puts C(a, i-b) there.  Since e1 = s + z, e2 = p + zs and
-    e3 = zp, the z-free terms c s^a p^b are the e3^k3 layer of the
-    answer, A at (a+b+k3, b+k3, k3); subtracting c (s + z)^a (p + zs)^b
-    leaves a multiple of zp, which is divided out before the next layer.
-
-    Layer k3 reads only the z^0 row left after k3 divisions by zp, that
-    is f's z^k3 row less what earlier layers subtracted from it, and the
-    last layer is n // 3.  So only the rows j <= n // 3 are written in
-    s, p, and layer k3 skips every update that lands above z^(n//3 - k3).
-    recompose(decompose(f)) equals f exactly.
-    """
+    """Express a symmetric homogeneous 3-variable polynomial in the e-basis:
+    checks its arity, homogeneity and symmetry, then decomposes its terms at
+    sorted exponents as a table.  recompose(decompose(f)) equals f exactly."""
     if len(f.vars) != 3:
         raise ValueError(f"expected 3 variables, got {f.vars}")
     n = f.homogeneous_degree()
@@ -127,13 +113,38 @@ def decompose(f: Polynomial) -> EBasisPolynomial:
         raise NotHomogeneous(f"terms of {f!r} have mixed total degree")
     if not f.is_symmetric():
         raise NotSymmetric("polynomial is not symmetric in its variables")
-    n = n or 0
+    return decompose_table(n or 0, {e: c for e, c in f._terms.items() if e[0] >= e[1] >= e[2]})
+
+
+def decompose_table(n: int, table: dict[tuple[int, int, int], int]) -> EBasisPolynomial:
+    """The e-basis form of the symmetric polynomial of degree n with
+    ``table``'s coefficients at the partitions of n, zero where absent.
+
+    Writes the polynomial in s = x + y, p = xy and z: the coefficient of
+    z^j is a symmetric binary form of degree d = n - j, whose coefficient
+    at s^(d-2b) p^b is solved from the coefficients at x^(d-i) y^i z^j,
+    i <= d/2, as s^a p^b puts C(a, i-b) there.  Since e1 = s + z,
+    e2 = p + zs and e3 = zp, the z-free terms c s^a p^b are the e3^k3
+    layer of the answer, A at (a+b+k3, b+k3, k3); subtracting
+    c (s + z)^a (p + zs)^b leaves a multiple of zp, which is divided out
+    before the next layer.
+
+    Layer k3 reads only the z^0 row left after k3 divisions by zp, that
+    is the z^k3 row less what earlier layers subtracted from it, and the
+    last layer is n // 3.  So only the rows j <= n // 3 are written in
+    s, p, and layer k3 skips every update that lands above z^(n//3 - k3).
+    A key that is no partition of n raises InvalidPartition.
+    """
+    for key in table:
+        _check_partition(key, n)
     top = n // 3
     # rows[j][b]: coefficient of s^a p^b z^j, a = n - 3 k3 - j - 2b at layer k3
     rows = []
     for j in range(top + 1):
         d = n - j
-        rows.append(half_row_to_sp([f.coefficient((d - i, i, j)) for i in range(d // 2 + 1)], d))
+        # as j <= n/3 and i <= d/2, x^(d-i) y^i z^j sorts to (d - i, max(i, j), min(i, j))
+        half = [table.get((d - i, max(i, j), min(i, j)), 0) for i in range(d // 2 + 1)]
+        rows.append(half_row_to_sp(half, d))
     coeffs = {}
     for k3 in range(top + 1):
         left = top - k3
@@ -168,6 +179,7 @@ __all__ = [
     "NotHomogeneous",
     "NotSymmetric",
     "decompose",
+    "decompose_table",
     "elementary",
     "partitions3",
     "recompose",

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from helpers import count_comparisons
 
-from nvalue import conjectures, mvgroup
+from nvalue import conjectures, construct, mvgroup, symdecomp
 from nvalue.cli import main
 from nvalue.symdecomp import EBasisPolynomial
 
@@ -69,6 +69,35 @@ class TestPnDigests:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestTablePath:
+    """pn --basis e and every scan decompose the builder's table: they
+    neither build the full polynomial nor check its symmetry."""
+
+    @pytest.fixture(autouse=True)
+    def no_full_polynomial(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the full polynomial was built or decomposed")
+
+        monkeypatch.setattr(construct, "build_pn", forbidden)
+        monkeypatch.setattr(symdecomp, "decompose", forbidden)
+
+    def test_raw_basis_reaches_the_patch(self, capsys):
+        with pytest.raises(AssertionError):
+            run_cli(capsys, "pn", "--n", "10", "--basis", "raw")
+
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    def test_pn_ebasis(self, capsys, fmt):
+        code, out = run_cli(capsys, "pn", "--n", "10", "--basis", "e", "--format", fmt)
+        assert code == 0
+        assert out.startswith("e1^10 - ") if fmt == "text" else json.loads(out)["n"] == 10
+
+    @pytest.mark.parametrize("kind", tuple(conjectures.SCANS))
+    def test_scan(self, capsys, kind):
+        code, out = run_cli(capsys, "scan", "--kind", kind, "--max-n", "10")
+        assert code == 0
+        assert out
+
+
 class TestNewtonCommand:
     def test_text_golden(self, capsys):
         lines = []
@@ -122,13 +151,13 @@ class TestScanCommand:
 
     def test_proposition_flags_a_wrong_coefficient(self, capsys, monkeypatch):
         # A_{4,2,0} of p_6 off by one is a counterexample to the Proposition
-        real = conjectures.decompose
+        real = conjectures.decompose_table
 
-        def decompose(f):
-            g = real(f)
-            return EBasisPolynomial(6, {**g.coeffs, (4, 2, 0): 49}) if g.n == 6 else g
+        def decompose_table(n, table):
+            g = real(n, table)
+            return EBasisPolynomial(6, {**g.coeffs, (4, 2, 0): 49}) if n == 6 else g
 
-        monkeypatch.setattr(conjectures, "decompose", decompose)
+        monkeypatch.setattr(conjectures, "decompose_table", decompose_table)
         code, out = run_cli(capsys, "scan", "--kind", "proposition", "--max-n", "8")
         assert code == 1
         assert "proposition n=6: fail (2/3 checks)\n" \

@@ -12,6 +12,7 @@ from nvalue.construct import (
     build_pn,
     build_pn_cyclo,
     cyclotomic,
+    pn_table,
 )
 from nvalue.polyring import NonIntegralCoefficient, Polynomial
 from nvalue.symdecomp import decompose
@@ -149,6 +150,15 @@ class TestGoldenTables:
         assert build_pn(4) == p2 ** 2 - 2 ** 7 * p1 * xyz
 
 
+class TestPnTable:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_entries_are_the_oracles_at_sorted_exponents(self, n):
+        # key (k1, k2, k3) is the coefficient of x^k1 y^k2 z^k3
+        sorted_terms = {e: c for e, c in build_pn_cyclo(n).sorted_terms()
+                        if e[0] >= e[1] >= e[2]}
+        assert pn_table(n) == sorted_terms
+
+
 class TestDualAlgorithm:
     def test_agreement_up_to_10(self):
         for n in range(1, 11):
@@ -242,7 +252,7 @@ class TestErrors:
         # n = 3 is the least n whose table reads e_2
         monkeypatch.setattr(construct, "_power_sum_half", lambda n, m: [1] * (m // 2 + 1))
         with pytest.raises(NonIntegralCoefficient):
-            build_pn.__wrapped__(3)
+            pn_table.__wrapped__(3)
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):

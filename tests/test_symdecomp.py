@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from nvalue.construct import build_pn
+from nvalue.construct import build_pn, pn_table
 from nvalue.polyring import Polynomial
 from nvalue.symdecomp import (
     EBasisPolynomial,
@@ -11,6 +11,7 @@ from nvalue.symdecomp import (
     NotHomogeneous,
     NotSymmetric,
     decompose,
+    decompose_table,
     elementary,
     partitions3,
     recompose,
@@ -81,6 +82,23 @@ class TestDecompose:
 
     def test_zero(self):
         assert decompose(Polynomial(XYZ)) == EBasisPolynomial(0, {})
+
+
+class TestDecomposeTable:
+    """The scans' and ``pn --basis e``'s path, from the builder's table."""
+
+    @pytest.mark.parametrize("n", [*range(1, 49),
+                                   *(pytest.param(n, marks=pytest.mark.slow) for n in (64, 96))])
+    def test_equals_decompose_of_the_full_polynomial(self, n):
+        assert decompose_table(n, pn_table(n)) == decompose(build_pn(n))
+
+    @pytest.mark.parametrize("key", [(1, 2, 0), (2, 1, 1), (4, -1, 0), (3, 0)],
+                             ids=("increasing", "wrong-sum", "negative", "pair"))
+    def test_rejects_a_key_that_is_no_partition(self, key):
+        with pytest.raises(InvalidPartition):
+            decompose_table(3, {(3, 0, 0): 1, key: 1})
+        with pytest.raises(InvalidPartition):
+            EBasisPolynomial(3, {key: 1})
 
 
 def _symmetrize_table(f):
