@@ -68,7 +68,7 @@ def cmd_pn(args) -> int:
         else:
             text = str(p) + "\n"
     else:
-        g = symdecomp.decompose_table(args.n, construct.pn_table(args.n))
+        g = symdecomp.decompose_rows(args.n, construct.pn_rows(args.n))
         if args.format == "json":
             text = json.dumps(g.to_json()) + "\n"
         else:

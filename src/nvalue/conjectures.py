@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .construct import pn_table
-from .symdecomp import decompose_table, partitions3
+from .construct import pn_rows
+from .symdecomp import decompose_rows, partitions3
 
 
 class NotPrimePower(ValueError):
@@ -110,8 +110,8 @@ def format_factored(a: int) -> str:
 
 def _scan(n: int, kind: str, verdict) -> ScanReport:
     # one entry per partition, verdict(part, a) its verdict and detail
-    g = decompose_table(n, pn_table(n))
-    coefficients = {part: g.coefficient(*part) for part in partitions3(n)}
+    g = decompose_rows(n, pn_rows(n))
+    coefficients = {part: g.coeffs.get(part, 0) for part in partitions3(n)}
     checks = tuple(CheckEntry(part, a, *verdict(part, a)) for part, a in coefficients.items())
     failed = any(c.verdict == "fail" for c in checks)
     return ScanReport(n, kind, checks, "fail" if failed else "pass")

@@ -16,16 +16,17 @@ provided and must agree exactly:
   The product is Galois-invariant, so every t-power above t^0 cancels;
   the surviving constant is a polynomial in u, v, z with u^n, v^n standing
   for (-1)^n x, (-1)^n y.
-* ``pn_table``, the default, computes the power sums of the n roots
+* ``pn_rows``, the default, computes the power sums of the n roots
   in closed form and converts them to elementary symmetric functions via
   Newton's identities, dividing exactly.  Each e_k is a symmetric binary
   form, kept as its integer row in s = x + y and p = xy, where a product
   is a plain full convolution that needs no truncation or mirroring.
-  The rows stop at k = floor(2n/3): every coefficient of p_n is read
-  from a row up to there.  Each row is then converted back to its
-  half row in x, y, whose entries are p_n's coefficients at the
-  partitions k1 >= k2 >= k3 of n: about n^2/12 numbers, which fix p_n as
-  it is symmetric.  ``build_pn`` expands them into the full polynomial.
+  Row k is p_n's z^(n-k) coefficient (-1)^k e_k, and the rows stop at
+  k = floor(2n/3): the e-basis peel reads no row past there, and every
+  coefficient of p_n at a partition k1 >= k2 >= k3 of n sits in one.
+  ``pn_rows`` is the exact layer's one cache of p_n; ``pn_table`` converts
+  its rows to those coefficients, about n^2/12 numbers that fix p_n as it
+  is symmetric, and ``build_pn`` expands them into the full polynomial.
 
 Working modulo Phi_n rather than t^n - 1 is essential: modulo t^n - 1 the
 product keeps contributions from every divisor of n and is not constant
@@ -166,38 +167,31 @@ def _power_sum_half(n: int, m: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def pn_table(n: int) -> dict[tuple[int, int, int], int]:
-    """p_n's nonzero coefficients at the partitions of n, by Newton's identities.
+def pn_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows k = 0..floor(2n/3) of p_n in s = x + y and p = xy, by Newton's
+    identities: row k holds (-1)^k e_k, p_n's z^(n-k) coefficient, at
+    s^(k-2b) p^b.
 
-    Every e_k of the n roots is a symmetric binary form of degree k, so it
-    is kept as its floor(k/2) + 1 coefficients at s^(k-2b) p^b, s = x + y
-    and p = xy.  It satisfies k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} P_i,
-    and s^a p^b s^c p^d = s^(a+c) p^(b+d), so each right side is a full
-    convolution of rows in b.  The division by k is exact, in this basis
-    as in the monomial one, and raises NonIntegralCoefficient otherwise.
-    Each power sum is converted to s, p once and each e_k back to its
-    half row, the coefficients of x^(k-i) y^i for i <= k/2.
-    p_n = sum_k (-1)^k e_k z^(n-k).
-
-    The coefficient at (k1, k2, k3), that of x^k2 y^k3 z^k1, is
-    (-1)^(n-k1) times entry k3 of e_(n-k1)'s half row.  As k1 >= n/3, no
-    row past floor(2n/3) is read, and the identities stop at
-    k = floor(2n/3).
+    Every e_k of the n roots is a symmetric binary form of degree k, kept
+    as its floor(k/2) + 1 coefficients at s^(k-2b) p^b.  It satisfies
+    k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} P_i, so (-1)^k k e_k is
+    -sum_i (-1)^(k-i) e_{k-i} P_i, and s^a p^b s^c p^d = s^(a+c) p^(b+d)
+    makes each right side a full convolution of rows in b.  The division
+    by k is exact, in this basis as in the monomial one, and raises
+    NonIntegralCoefficient otherwise.  Each power sum is converted to
+    s, p once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     top = 2 * n // 3
-    # the sign (-1)^(m-1) of the identities is folded into each power sum's row
-    psums = [None]
-    for m in range(1, top + 1):
-        sp = half_row_to_sp(_power_sum_half(n, m), m)
-        psums.append(sp if m % 2 else [-c for c in sp])
-    elem = [[1]]
+    psums = [None] + [[-c for c in half_row_to_sp(_power_sum_half(n, m), m)]
+                      for m in range(1, top + 1)]
+    rows = [(1,)]
     for k in range(1, top + 1):
         acc = [0] * (k // 2 + 1)
         for i in range(1, k + 1):
             ps = psums[i]
-            for a, ca in enumerate(elem[k - i]):
+            for a, ca in enumerate(rows[k - i]):
                 for b, cb in enumerate(ps, a):
                     acc[b] += ca * cb
         row = []
@@ -205,12 +199,21 @@ def pn_table(n: int) -> dict[tuple[int, int, int], int]:
             q, r = divmod(c, k)
             if r:
                 raise NonIntegralCoefficient(
-                    f"e_{k} coefficient {c} of s^{k - 2 * b} p^{b} is not divisible by {k}")
+                    f"z^{n - k} coefficient {c} of s^{k - 2 * b} p^{b} is not divisible by {k}")
             row.append(q)
-        elem.append(row)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def pn_table(n: int) -> dict[tuple[int, int, int], int]:
+    """p_n's nonzero coefficients at the partitions of n, from pn_rows(n).
+
+    The coefficient at (k1, k2, k3), that of x^k2 y^k3 z^k1, is entry k3
+    of row n - k1's half row, the coefficients of x^(d-i) y^i, i <= d/2.
+    """
     # entry k3 <= d/2 of a half row has k3 <= k2, and k3 >= 2d - n gives k2 <= k1
-    return {(n - d, d - k3, k3): -c if d % 2 else c
-            for d, row in enumerate(elem)
+    return {(n - d, d - k3, k3): c
+            for d, row in enumerate(pn_rows(n))
             for k3, c in enumerate(sp_to_half_row(row, d)) if c and k3 >= 2 * d - n}
 
 
@@ -229,5 +232,6 @@ __all__ = [
     "build_pn",
     "build_pn_cyclo",
     "cyclotomic",
+    "pn_rows",
     "pn_table",
 ]

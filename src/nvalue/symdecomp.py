@@ -2,11 +2,13 @@
 
 A symmetric homogeneous polynomial of degree n in three variables is a
 unique integer combination of monomials e1^(k1-k2) e2^(k2-k3) e3^k3
-indexed by partitions k1 >= k2 >= k3 >= 0 of n.  ``decompose_table`` takes
-its coefficients at those partitions, rewrites it in s = x + y, p = xy and
-z, where e1 = s + z, e2 = p + zs and e3 = zp, and peels one power of e3 at
-a time with binomial coefficients only; ``recompose`` is its exact inverse
-on full ``Polynomial`` arithmetic and the independent oracle.
+indexed by partitions k1 >= k2 >= k3 >= 0 of n.  ``decompose_rows`` takes
+its z-rows in s = x + y and p = xy, where e1 = s + z, e2 = p + zs and
+e3 = zp, and peels them from z^n down with binomial coefficients only:
+the leading z-term of each basis monomial is one entry of one row.
+``decompose`` checks a full ``Polynomial`` and hands it to that peel;
+``recompose`` is its exact inverse on full ``Polynomial`` arithmetic and
+the independent oracle.
 """
 
 from __future__ import annotations
@@ -104,8 +106,8 @@ def _check_partition(key, n: int) -> None:
 
 def decompose(f: Polynomial) -> EBasisPolynomial:
     """Express a symmetric homogeneous 3-variable polynomial in the e-basis:
-    checks its arity, homogeneity and symmetry, then decomposes its terms at
-    sorted exponents as a table.  recompose(decompose(f)) equals f exactly."""
+    checks its arity, homogeneity and symmetry, then peels its z-rows j >= n/3
+    written in s, p.  recompose(decompose(f)) equals f exactly."""
     if len(f.vars) != 3:
         raise ValueError(f"expected 3 variables, got {f.vars}")
     n = f.homogeneous_degree()
@@ -113,53 +115,47 @@ def decompose(f: Polynomial) -> EBasisPolynomial:
         raise NotHomogeneous(f"terms of {f!r} have mixed total degree")
     if not f.is_symmetric():
         raise NotSymmetric("polynomial is not symmetric in its variables")
-    return decompose_table(n or 0, {e: c for e, c in f._terms.items() if e[0] >= e[1] >= e[2]})
+    n = n or 0
+    # row d is the z^(n-d) coefficient; its half row is the x^(d-i) y^i, i <= d/2
+    return decompose_rows(n, [half_row_to_sp([f._terms.get((d - i, i, n - d), 0)
+                                              for i in range(d // 2 + 1)], d)
+                              for d in range(n - (n + 2) // 3 + 1)])
 
 
-def decompose_table(n: int, table: dict[tuple[int, int, int], int]) -> EBasisPolynomial:
-    """The e-basis form of the symmetric polynomial of degree n with
-    ``table``'s coefficients at the partitions of n, zero where absent.
+def decompose_rows(n: int, rows) -> EBasisPolynomial:
+    """The e-basis form of the symmetric polynomial of degree n whose
+    z^(n-d) coefficient has the entries rows[d] at s^(d-2b) p^b,
+    s = x + y and p = xy, for d = 0..n - ceil(n/3).
 
-    Writes the polynomial in s = x + y, p = xy and z: the coefficient of
-    z^j is a symmetric binary form of degree d = n - j, whose coefficient
-    at s^(d-2b) p^b is solved from the coefficients at x^(d-i) y^i z^j,
-    i <= d/2, as s^a p^b puts C(a, i-b) there.  Since e1 = s + z,
-    e2 = p + zs and e3 = zp, the z-free terms c s^a p^b are the e3^k3
-    layer of the answer, A at (a+b+k3, b+k3, k3); subtracting
-    c (s + z)^a (p + zs)^b leaves a multiple of zp, which is divided out
-    before the next layer.
-
-    Layer k3 reads only the z^0 row left after k3 divisions by zp, that
-    is the z^k3 row less what earlier layers subtracted from it, and the
-    last layer is n // 3.  So only the rows j <= n // 3 are written in
-    s, p, and layer k3 skips every update that lands above z^(n//3 - k3).
-    A key that is no partition of n raises InvalidPartition.
+    e1^a e2^m e3^g = (s + z)^a (p + zs)^m (zp)^g leads in z with
+    z^(a+m+g) s^m p^g.  So row z^j, d = n - j, read after every basis
+    monomial with k1 > j is subtracted, holds at s^(d-2b) p^b the
+    coefficient A at (j, d - b, b), the monomial with m = d - 2b, g = b
+    and a = 2j - n + b; a nonzero entry with a < 0 leads no monomial and
+    raises NotSymmetric.  Subtracting c e1^a e2^m e3^g puts
+    -c C(a, i) C(m, l) at z^(i+l+g) s^(a-i+l) p^(m-l+g); rows below
+    z^ceil(n/3) lead no monomial, as k1 >= n/3, and are never written.
     """
-    for key in table:
-        _check_partition(key, n)
-    top = n // 3
-    # rows[j][b]: coefficient of s^a p^b z^j, a = n - 3 k3 - j - 2b at layer k3
-    rows = []
-    for j in range(top + 1):
-        d = n - j
-        # as j <= n/3 and i <= d/2, x^(d-i) y^i z^j sorts to (d - i, max(i, j), min(i, j))
-        half = [table.get((d - i, max(i, j), min(i, j)), 0) for i in range(d // 2 + 1)]
-        rows.append(half_row_to_sp(half, d))
+    low = (n + 2) // 3
+    rows = [list(row) for row in rows[:n - low + 1]]
     coeffs = {}
-    for k3 in range(top + 1):
-        left = top - k3
-        for b, c in enumerate(rows[0]):
+    for j in range(n, low - 1, -1):
+        d = n - j
+        for b, c in enumerate(rows[d]):
             if not c:
                 continue
-            a = n - 3 * k3 - 2 * b
-            coeffs[a + b + k3, b + k3, k3] = c
-            comb_b = [math.comb(b, l) for l in range(min(b, left) + 1)]
-            for i in range(min(a, left) + 1):
-                ci = c * math.comb(a, i)
-                for l in range(min(b, left - i) + 1):
-                    rows[i + l][b - l] -= ci * comb_b[l]
-        # what is left is a multiple of zp: drop row z^0 and column p^0
-        rows = [row[1:] for row in rows[1:]]
+            a, m = 2 * j - n + b, d - 2 * b
+            if a < 0:
+                raise NotSymmetric(f"z^{j} s^{m} p^{b} leads no e-basis monomial")
+            coeffs[j, d - b, b] = c
+            comb_m = [c * math.comb(m, l) for l in range(m + 1)]
+            for i in range(max(0, low - b - m), a + 1):
+                ci = math.comb(a, i)
+                # the term at z^(i+l+b) is row n - i - l - b, column m - l + b,
+                # kept while i + l + b >= low
+                top, col = n - i - b, m + b
+                for l in range(max(0, low - i - b), m + 1):
+                    rows[top - l][col - l] -= ci * comb_m[l]
     return EBasisPolynomial(n, coeffs)
 
 
@@ -179,7 +175,7 @@ __all__ = [
     "NotHomogeneous",
     "NotSymmetric",
     "decompose",
-    "decompose_table",
+    "decompose_rows",
     "elementary",
     "partitions3",
     "recompose",

@@ -1,7 +1,9 @@
 import cmath
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 from helpers import count_comparisons
 
+import nvalue
 from nvalue import conjectures, construct, mvgroup, symdecomp
 from nvalue.cli import main
 from nvalue.symdecomp import EBasisPolynomial
@@ -70,16 +73,23 @@ class TestPnDigests:
 
 
 class TestTablePath:
-    """pn --basis e and every scan decompose the builder's table: they
-    neither build the full polynomial nor check its symmetry."""
+    """pn --basis e and every scan peel the builder's s, p rows: they
+    neither build the full polynomial nor check its symmetry, nor convert
+    the rows to p_n's coefficients at partitions and back."""
 
     @pytest.fixture(autouse=True)
     def no_full_polynomial(self, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("the full polynomial was built or decomposed")
+            raise AssertionError("the full polynomial or its partition table was built")
 
         monkeypatch.setattr(construct, "build_pn", forbidden)
         monkeypatch.setattr(symdecomp, "decompose", forbidden)
+        # in every module of the package that binds them
+        for info in pkgutil.iter_modules(nvalue.__path__):
+            module = importlib.import_module(f"nvalue.{info.name}")
+            for name in ("pn_table", "sp_to_half_row"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
 
     def test_raw_basis_reaches_the_patch(self, capsys):
         with pytest.raises(AssertionError):
@@ -151,13 +161,13 @@ class TestScanCommand:
 
     def test_proposition_flags_a_wrong_coefficient(self, capsys, monkeypatch):
         # A_{4,2,0} of p_6 off by one is a counterexample to the Proposition
-        real = conjectures.decompose_table
+        real = conjectures.decompose_rows
 
-        def decompose_table(n, table):
-            g = real(n, table)
+        def decompose_rows(n, rows):
+            g = real(n, rows)
             return EBasisPolynomial(6, {**g.coeffs, (4, 2, 0): 49}) if n == 6 else g
 
-        monkeypatch.setattr(conjectures, "decompose_table", decompose_table)
+        monkeypatch.setattr(conjectures, "decompose_rows", decompose_rows)
         code, out = run_cli(capsys, "scan", "--kind", "proposition", "--max-n", "8")
         assert code == 1
         assert "proposition n=6: fail (2/3 checks)\n" \

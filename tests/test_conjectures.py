@@ -93,13 +93,13 @@ class TestVerifyProposition:
         # A_{4,2,0} of p_6 off by one is a counterexample, flagged as such
         g = decompose(build_pn(6))
         wrong = EBasisPolynomial(6, {**g.coeffs, (4, 2, 0): 49})
-        monkeypatch.setattr(conjectures, "decompose_table", lambda n, table: wrong)
+        monkeypatch.setattr(conjectures, "decompose_rows", lambda n, rows: wrong)
         rep = verify_proposition(6)
         assert rep.overall == "fail"
         assert [c.partition for c in rep.checks if c.verdict == "fail"] == [(4, 2, 0)]
 
     def test_rejects_nonpositive(self):
-        # raised by pn_table, as for the other scans
+        # raised by pn_rows, as for the other scans
         with pytest.raises(ValueError, match="n must be >= 1"):
             verify_proposition(0)
 
@@ -203,7 +203,7 @@ class TestFactorReport:
         assert rep.checks[0].coefficient == 1
 
     def test_rejects_nonpositive(self):
-        # raised by pn_table, before any coefficient is factored
+        # raised by pn_rows, before any coefficient is factored
         with pytest.raises(ValueError, match="n must be >= 1"):
             factor_report(0)
 

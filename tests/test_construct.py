@@ -12,6 +12,7 @@ from nvalue.construct import (
     build_pn,
     build_pn_cyclo,
     cyclotomic,
+    pn_rows,
     pn_table,
 )
 from nvalue.polyring import NonIntegralCoefficient, Polynomial
@@ -249,10 +250,10 @@ class TestErrors:
 
     def test_inexact_division_raises(self, monkeypatch):
         # all-ones power sums give 2 e_2 = x*y, which no integer row solves;
-        # n = 3 is the least n whose table reads e_2
+        # n = 3 is the least n whose rows reach e_2
         monkeypatch.setattr(construct, "_power_sum_half", lambda n, m: [1] * (m // 2 + 1))
         with pytest.raises(NonIntegralCoefficient):
-            pn_table.__wrapped__(3)
+            pn_rows.__wrapped__(3)
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):

@@ -1,17 +1,18 @@
+import itertools
 import json
 import random
 
 import pytest
 
-from nvalue.construct import build_pn, pn_table
-from nvalue.polyring import Polynomial
+from nvalue.construct import build_pn, pn_rows
+from nvalue.polyring import Polynomial, half_row_to_sp
 from nvalue.symdecomp import (
     EBasisPolynomial,
     InvalidPartition,
     NotHomogeneous,
     NotSymmetric,
     decompose,
-    decompose_table,
+    decompose_rows,
     elementary,
     partitions3,
     recompose,
@@ -85,20 +86,34 @@ class TestDecompose:
 
 
 class TestDecomposeTable:
-    """The scans' and ``pn --basis e``'s path, from the builder's table."""
+    """The scans' and ``pn --basis e``'s path: the e-basis table peeled
+    from the builder's s, p rows."""
 
     @pytest.mark.parametrize("n", [*range(1, 49),
                                    *(pytest.param(n, marks=pytest.mark.slow) for n in (64, 96))])
     def test_equals_decompose_of_the_full_polynomial(self, n):
-        assert decompose_table(n, pn_table(n)) == decompose(build_pn(n))
+        # the builder's rows against those decompose reads off build_pn(n)
+        assert decompose_rows(n, pn_rows(n)) == decompose(build_pn(n))
 
     @pytest.mark.parametrize("key", [(1, 2, 0), (2, 1, 1), (4, -1, 0), (3, 0)],
                              ids=("increasing", "wrong-sum", "negative", "pair"))
     def test_rejects_a_key_that_is_no_partition(self, key):
         with pytest.raises(InvalidPartition):
-            decompose_table(3, {(3, 0, 0): 1, key: 1})
-        with pytest.raises(InvalidPartition):
             EBasisPolynomial(3, {key: 1})
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_recomposes_to_build_pn(self, n):
+        assert recompose(decompose_rows(n, pn_rows(n))) == build_pn(n)
+
+    def test_entry_that_leads_no_monomial_raises(self):
+        # z (x^2 + y^2) is symmetric in x, y only: its z^1 row, s^2 - 2p,
+        # would lead e1^-1 e2^2
+        rows = [[0], [0], half_row_to_sp([1, 0], 2)]
+        assert rows[2] == [1, -2]
+        with pytest.raises(NotSymmetric):
+            decompose_rows(3, rows)
+        with pytest.raises(NotSymmetric):
+            decompose_rows(3, [[0], [0], [1, 0]])
 
 
 def _symmetrize_table(f):
@@ -163,6 +178,18 @@ class TestRecompose:
         for _ in range(60):
             f = random_symmetric_homogeneous(rng, max_degree=30)
             assert recompose(decompose(f), f.vars) == f
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_round_trip_sparse_random_degree_0_to_12(self, seed):
+        # a few symmetrized monomials per degree leave most row entries zero
+        rng = random.Random(seed)
+        for n in range(13):
+            parts = partitions3(n)
+            f = Polynomial(XYZ)
+            for part in rng.sample(parts, rng.randint(1, min(3, len(parts)))):
+                c = rng.choice((-1, 1)) * rng.randint(1, 10 ** 9)
+                f = f + Polynomial(XYZ, {e: c for e in set(itertools.permutations(part))})
+            assert recompose(decompose(f)) == f, (seed, n)
 
     def test_round_trip_last_layer(self):
         rng = random.Random(303)
