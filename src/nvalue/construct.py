@@ -24,9 +24,9 @@ provided and must agree exactly:
   Row k is p_n's z^(n-k) coefficient (-1)^k e_k, and the rows stop at
   k = floor(2n/3): the e-basis peel reads no row past there, and every
   coefficient of p_n at a partition k1 >= k2 >= k3 of n sits in one.
-  ``pn_rows`` is the exact layer's one cache of p_n; ``pn_table`` converts
-  its rows to those coefficients, about n^2/12 numbers that fix p_n as it
-  is symmetric, and ``build_pn`` expands them into the full polynomial.
+  ``pn_rows`` is the exact layer's one cache of p_n, and the rows are one of
+  its two exact forms; ``build_pn`` reads them at the partitions of n and
+  expands them into the other, the full polynomial.
 
 Working modulo Phi_n rather than t^n - 1 is essential: modulo t^n - 1 the
 product keeps contributions from every divisor of n and is not constant
@@ -39,7 +39,7 @@ import math
 from functools import lru_cache
 from itertools import permutations
 
-from .polyring import NonIntegralCoefficient, Polynomial, half_row_to_sp, sp_to_half_row
+from .polyring import Polynomial, half_row_to_sp, sp_to_half_row
 
 _UVZ = ("u", "v", "z")
 _XYZ = ("x", "y", "z")
@@ -47,6 +47,10 @@ _XYZ = ("x", "y", "z")
 
 class NonConstantInT(ArithmeticError):
     """The cyclotomic product kept a residual t-dependence (internal bug)."""
+
+
+class NonIntegralCoefficient(ValueError):
+    """An exact integer division left a remainder."""
 
 
 def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -65,7 +69,6 @@ def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def cyclotomic(n: int) -> tuple[int, ...]:
     """Phi_n as its ascending, monic integer coefficient tuple, by exact
     division of t^n - 1."""
@@ -205,33 +208,29 @@ def pn_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def pn_table(n: int) -> dict[tuple[int, int, int], int]:
-    """p_n's nonzero coefficients at the partitions of n, from pn_rows(n).
-
-    The coefficient at (k1, k2, k3), that of x^k2 y^k3 z^k1, is entry k3
-    of row n - k1's half row, the coefficients of x^(d-i) y^i, i <= d/2.
-    """
-    # entry k3 <= d/2 of a half row has k3 <= k2, and k3 >= 2d - n gives k2 <= k1
-    return {(n - d, d - k3, k3): c
-            for d, row in enumerate(pn_rows(n))
-            for k3, c in enumerate(sp_to_half_row(row, d)) if c and k3 >= 2 * d - n}
-
-
 def build_pn(n: int) -> Polynomial:
-    """p_n(z; x, y) in full: p_n is symmetric in (x, y, z), so every
-    permutation of a partition in pn_table(n) has its coefficient."""
+    """p_n(z; x, y) in full, from pn_rows(n).
+
+    The coefficient at a partition (k1, k2, k3) of n, that of
+    x^k2 y^k3 z^k1, is entry k3 of row d = n - k1's half row, the
+    coefficients of x^(d-i) y^i, i <= d/2; p_n is symmetric in (x, y, z),
+    so every permutation of the partition has it.
+    """
     terms = {}
-    for key, c in pn_table(n).items():
-        for e in permutations(key):
-            terms[e] = c
+    for d, row in enumerate(pn_rows(n)):
+        # entry k3 <= d/2 of a half row has k3 <= k2, and k3 >= 2d - n gives k2 <= k1
+        for k3, c in enumerate(sp_to_half_row(row, d)):
+            if c and k3 >= 2 * d - n:
+                for e in permutations((n - d, d - k3, k3)):
+                    terms[e] = c
     return Polynomial._raw(_XYZ, terms)
 
 
 __all__ = [
     "NonConstantInT",
+    "NonIntegralCoefficient",
     "build_pn",
     "build_pn_cyclo",
     "cyclotomic",
     "pn_rows",
-    "pn_table",
 ]

@@ -19,10 +19,6 @@ class VariableMismatch(ValueError):
     """Operands were built over different variable lists."""
 
 
-class NonIntegralCoefficient(ValueError):
-    """An exact integer division left a remainder."""
-
-
 def _to_complex(c) -> complex:
     # huge integer coefficients may not fit a double; saturate to +-inf
     try:

@@ -18,7 +18,6 @@ def test_clear_caches_empties_every_cache():
                      for p in Path(nvalue.__file__).parent.glob("*.py"))
     assert len(caches) == decorators
 
-    construct.build_pn_cyclo(4)
     symdecomp.recompose(symdecomp.decompose(construct.build_pn(4)))
     assert mvgroup.roots_match_pn(0.3 + 0.1j, -0.2j, 4, 1e-7)
     unfilled = [name for name, f in caches.items() if not f.cache_info().currsize]

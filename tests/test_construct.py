@@ -9,13 +9,13 @@ import pytest
 from nvalue import construct
 from nvalue.construct import (
     NonConstantInT,
+    NonIntegralCoefficient,
     build_pn,
     build_pn_cyclo,
     cyclotomic,
     pn_rows,
-    pn_table,
 )
-from nvalue.polyring import NonIntegralCoefficient, Polynomial
+from nvalue.polyring import Polynomial
 from nvalue.symdecomp import decompose
 
 from helpers import XYZ
@@ -149,15 +149,6 @@ class TestGoldenTables:
     def test_p4_recursion(self):
         p1, p2 = build_pn(1), build_pn(2)
         assert build_pn(4) == p2 ** 2 - 2 ** 7 * p1 * xyz
-
-
-class TestPnTable:
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_entries_are_the_oracles_at_sorted_exponents(self, n):
-        # key (k1, k2, k3) is the coefficient of x^k1 y^k2 z^k3
-        sorted_terms = {e: c for e, c in build_pn_cyclo(n).sorted_terms()
-                        if e[0] >= e[1] >= e[2]}
-        assert pn_table(n) == sorted_terms
 
 
 class TestDualAlgorithm:
