@@ -71,11 +71,12 @@ def eq_multiset(a, b, tol: float) -> bool:
     in it, a perfect matching in the tolerance graph decides, so every
     input is decided exactly.
     """
-    if len(a) != len(b):
-        return False
-    if not all(map(cmath.isfinite, itertools.chain(a, b))):
+    if len(a) != len(b) or not all(map(cmath.isfinite, a)):
         return False                      # isclose(inf, inf) holds
-    return all(map(_close(tol), a, b)) or _has_perfect_matching(_tolerance_graph(a, b, tol))
+    # isclose fails for a finite p and a q that is not, so b is tested only
+    # when the order given does not pair
+    return all(map(_close(tol), a, b)) or (
+        all(map(cmath.isfinite, b)) and _has_perfect_matching(_tolerance_graph(a, b, tol)))
 
 
 def _close(tol: float):
@@ -156,12 +157,13 @@ def check_associativity(x: complex, y: complex, z: complex, n: int, tol: float) 
     With a, b, c the principal roots of x, y, z, each product is
     (a + eps^i b + eps^j c)^n.  The root r_s of (b + eps^(s+1) c)^n, the s-th
     value of y*z, is eps^k_s (b + eps^(s+1) c), and the root q_u of
-    (a + eps^(u+1) b)^n is eps^m_u (a + eps^(u+1) b), so left[s n + t] pairs
-    with right[u n + t'] for u = t + k_s and t' = u + s + 1 + m_u (mod n).
-    The products are mul_n's, bit for bit, for every input.  A zero r_s or
-    q_u takes label 0, since its row, (a + eps^t 0)^n or (0 + eps^t c)^n,
-    is one value n times.  A value of y*z or x*y that is not finite makes
-    the verdict False, as eq_multiset's would be.
+    (a + eps^(u+1) b)^n is eps^m_u (a + eps^(u+1) b), so left[s n + t]
+    equals (q_u + eps^(j+1) c)^n for u = t + k_s and j = s + i_u (mod n),
+    i_u = u + 1 + m_u, and right[s n + t] is built as that value.  The
+    products are mul_n's, bit for bit, for every input.  A zero r_s or q_u
+    takes label 0, since its row, (a + eps^t 0)^n or (0 + eps^t c)^n, is
+    one value n times.  A value of y*z or x*y that is not finite makes the
+    verdict False, as eq_multiset's would be.
     """
     yz, xy = mul_n(y, z, n), mul_n(x, y, n)
     if not all(map(cmath.isfinite, yz + xy)):
@@ -170,15 +172,13 @@ def check_associativity(x: complex, y: complex, z: complex, n: int, tol: float) 
     unity, turn = _unity(n), n / (2 * math.pi)    # turn: a label's steps per radian
     rs, qs = ([nth_root(v, n) for v in vs] for vs in (yz, xy))
     left = [(a + w * r) ** n for r in rs for w in unity]
-    turned = []                   # row u of the right side turned by u + 1 + m_u
-    for u, q in enumerate(qs):
-        row = [(q + w * c) ** n for w in unity]
-        m = round(cmath.phase(q / (a + unity[u] * b)) * turn) if q else 0
-        i = (m + u + 1) % n
-        turned.append(row[i:] + row[:i])
     ks = [round(cmath.phase(r / (b + w * c)) * turn) % n if r else 0 for r, w in zip(rs, unity)]
-    aligned = itertools.chain.from_iterable(col[k:] + col[:k] for k, col in zip(ks, zip(*turned)))
-    return eq_multiset(left, list(aligned), tol)
+    starts = [((round(cmath.phase(q / (a + w * b)) * turn) if q else 0) + u + 1) % n
+              for u, (q, w) in enumerate(zip(qs, unity))]
+    # doubled, so that s + i_u and t + k_s need no modulo
+    wc, cycle = [w * c for w in unity] * 2, list(range(n)) * 2
+    right = [(qs[u] + wc[s + starts[u]]) ** n for s, k in enumerate(ks) for u in cycle[k:k + n]]
+    return eq_multiset(left, right, tol)
 
 
 def pn_roots(x: complex, y: complex, n: int) -> list[complex]:

@@ -252,6 +252,20 @@ class TestAxiomsCommand:
         assert code == 0
         assert out.strip().endswith("overall: pass")
 
+    @pytest.mark.parametrize("argv, results", (
+        (["--n", "5", "--tol", "3e-15"],
+         {"unit": 200, "inverse": 200, "associativity": 195, "roots-vs-multiset": 200}),
+        (["--n", "16", "--tol", "1e-14"],
+         {"unit": 173, "inverse": 200, "associativity": 0, "roots-vs-multiset": 200})),
+        ids=("5", "16"))
+    def test_counts_at_rounding_tolerances(self, capsys, argv, results):
+        # at these tolerances the verdicts are mixed, so a change in any
+        # float product or pairing order moves a count
+        code, out = run_cli(capsys, "axioms", *argv, "--samples", "200", "--seed", "1",
+                            "--format", "json")
+        assert code == 1
+        assert json.loads(out)["results"] == results
+
     def test_failing_samples_cost_bounded_comparisons(self, capsys, monkeypatch):
         # each sample fails associativity at this tol, so its two sides of
         # 47^2 values reach the tolerance graph: an all-pairs graph makes

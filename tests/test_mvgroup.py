@@ -202,6 +202,17 @@ class TestEqMultiset:
     def test_empty(self):
         assert eq_multiset([], [], 1e-9)
 
+    @pytest.mark.parametrize("a, b", (([math.inf], [math.inf]),
+                                      ([1, 2], [1, complex(math.nan, 0)]),
+                                      ([complex(math.nan, 0), 2], [1, 2]),
+                                      ([1, 2], [2, complex(0, math.inf)])),
+                             ids=("inf-inf", "nan-in-b", "nan-in-a", "inf-in-b-unpaired"))
+    def test_not_finite(self, a, b):
+        # isclose(inf, inf) holds, yet a value that is not finite pairs with
+        # nothing; in the last case the order given fails at 1 <-> 2, so the
+        # matching path decides
+        assert eq_multiset(a, b, 1e-9) is False
+
     def test_agrees_with_permutation_oracle(self):
         rng = random.Random(9)
         verdicts = set()
