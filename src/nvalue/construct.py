@@ -39,7 +39,7 @@ import math
 from functools import lru_cache
 from itertools import permutations
 
-from .polyring import Polynomial, half_row_to_sp, sp_to_half_row
+from .polyring import Polynomial, binomial_diagonals, half_row_to_sp, sp_to_half_row
 
 _UVZ = ("u", "v", "z")
 _XYZ = ("x", "y", "z")
@@ -147,8 +147,8 @@ def build_pn_cyclo(n: int) -> Polynomial:
     return Polynomial._raw(_XYZ, terms)
 
 
-def _power_sum_half(n: int, m: int) -> list[int]:
-    """Entries i = 0..floor(m/2) of P_m, the coefficients of x^(m-i) y^i.
+def _power_sum_halves(n: int, top: int) -> list[list[int]]:
+    """Entries i = 0..floor(m/2) of P_m, the coefficients of x^(m-i) y^i, for m = 1..top.
 
     P_m is the sum of the m-th powers of the n roots (u + eps^k v)^n, in x
     and y.  Expanding (u + eps^k v)^{nm} and summing over k kills every
@@ -159,14 +159,16 @@ def _power_sum_half(n: int, m: int) -> list[int]:
 
     symmetric in x and y as C(nm, ni) = C(nm, n(m-i)).
     """
-    c = -n if (n * m) % 2 else n
-    half = [c]
-    # C(nm, ni + n) = C(nm, ni) * perm(nm - ni, n) / perm(ni + n, n), exactly;
-    # one math.comb per entry costs about 15 times as much at n = 96
-    for a in range(0, n * (m // 2), n):
-        c = c * math.perm(n * m - a, n) // math.perm(a + n, n)
-        half.append(c)
-    return half
+    # C(nm, n(i+1)) = C(nm, ni) * perm(n(m-i), n) / perm(n(i+1), n), exactly,
+    # with perms[q] = perm(nq, n) shared by every m
+    perms = [math.perm(n * q, n) for q in range(top + 1)]
+    halves = []
+    for m in range(1, top + 1):
+        half = [-n if (n * m) % 2 else n]
+        for i in range(m // 2):
+            half.append(half[-1] * perms[m - i] // perms[i + 1])
+        halves.append(half)
+    return halves
 
 
 @lru_cache(maxsize=None)
@@ -187,8 +189,9 @@ def pn_rows(n: int) -> tuple[tuple[int, ...], ...]:
     if n < 1:
         raise ValueError("n must be >= 1")
     top = 2 * n // 3
-    psums = [None] + [[-c for c in half_row_to_sp(_power_sum_half(n, m), m)]
-                      for m in range(1, top + 1)]
+    diag = binomial_diagonals(top)
+    psums = [None] + [[-c for c in half_row_to_sp(half, m, diag)]
+                      for m, half in enumerate(_power_sum_halves(n, top), 1)]
     rows = [(1,)]
     for k in range(1, top + 1):
         acc = [0] * (k // 2 + 1)
@@ -217,9 +220,10 @@ def build_pn(n: int) -> Polynomial:
     so every permutation of the partition has it.
     """
     terms = {}
+    diag = binomial_diagonals(2 * n // 3)
     for d, row in enumerate(pn_rows(n)):
         # entry k3 <= d/2 of a half row has k3 <= k2, and k3 >= 2d - n gives k2 <= k1
-        for k3, c in enumerate(sp_to_half_row(row, d)):
+        for k3, c in enumerate(sp_to_half_row(row, d, diag)):
             if c and k3 >= 2 * d - n:
                 for e in permutations((n - d, d - k3, k3)):
                     terms[e] = c

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from operator import add as _iadd
+from operator import add as _iadd, mul as _mul
 
 
 class VariableMismatch(ValueError):
@@ -58,20 +58,34 @@ def format_terms(names, terms, sep: str = "*", fmt=str) -> str:
 # coefficients of x^(d-i) y^i for i <= d/2, or by the same number of
 # coefficients at s^(d-2b) p^b, s = x + y and p = xy.  s^(d-2b) p^b puts
 # C(d-2b, i-b) at x^(d-i) y^i, so the change of basis is integer and
-# unitriangular and keeps exactness both ways.
+# unitriangular and keeps exactness both ways.  Both changes read C(d-2b, i-b)
+# as diag[d-2i][i-b] of a table diag = binomial_diagonals(top), top >= d.
 
-def half_row_to_sp(row, d: int) -> list[int]:
+def pascal_rows(top: int) -> list[list[int]]:
+    """rows[m][l] = C(m, l) for m <= top, built by addition."""
+    rows = [[1]]
+    for _ in range(top):
+        rows.append([1, *map(_iadd, rows[-1], rows[-1][1:]), 1])
+    return rows
+
+
+def binomial_diagonals(top: int) -> list[list[int]]:
+    """diag[e][t] = C(e + 2t, t) for e + 2t <= top."""
+    rows = pascal_rows(top)
+    return [list(map(list.__getitem__, rows[e::2], range(top + 1))) for e in range(top + 1)]
+
+
+def half_row_to_sp(row, d: int, diag) -> list[int]:
     """Coefficients at s^(d-2b) p^b of the form with half row ``row``."""
     out = []
     for i, h in enumerate(row):
-        out.append(h - sum(c * math.comb(d - 2 * b, i - b) for b, c in enumerate(out)))
+        out.append(h - sum(map(_mul, out, diag[d - 2 * i][i:0:-1])))
     return out
 
 
-def sp_to_half_row(row, d: int) -> list[int]:
+def sp_to_half_row(row, d: int, diag) -> list[int]:
     """Half row of the form with coefficients ``row`` at s^(d-2b) p^b."""
-    return [sum(c * math.comb(d - 2 * b, i - b) for b, c in enumerate(row[:i + 1]))
-            for i in range(len(row))]
+    return [sum(map(_mul, row, diag[d - 2 * i][i::-1])) for i in range(len(row))]
 
 
 class Polynomial:

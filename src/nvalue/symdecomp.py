@@ -14,10 +14,9 @@ the independent oracle.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import namedtuple
 
-from .polyring import Polynomial, format_terms, half_row_to_sp
+from .polyring import Polynomial, binomial_diagonals, format_terms, half_row_to_sp, pascal_rows
 
 
 class NotSymmetric(ValueError):
@@ -116,9 +115,10 @@ def decompose(f: Polynomial) -> EBasisPolynomial:
     if not f.is_symmetric():
         raise NotSymmetric("polynomial is not symmetric in its variables")
     n = n or 0
+    diag = binomial_diagonals(n - (n + 2) // 3)
     # row d is the z^(n-d) coefficient; its half row is the x^(d-i) y^i, i <= d/2
     return decompose_rows(n, [half_row_to_sp([f._terms.get((d - i, i, n - d), 0)
-                                              for i in range(d // 2 + 1)], d)
+                                              for i in range(d // 2 + 1)], d, diag)
                               for d in range(n - (n + 2) // 3 + 1)])
 
 
@@ -138,6 +138,7 @@ def decompose_rows(n: int, rows) -> EBasisPolynomial:
     """
     low = (n + 2) // 3
     rows = [list(row) for row in rows[:n - low + 1]]
+    pascal = pascal_rows(n)
     coeffs = {}
     for j in range(n, low - 1, -1):
         d = n - j
@@ -148,9 +149,9 @@ def decompose_rows(n: int, rows) -> EBasisPolynomial:
             if a < 0:
                 raise NotSymmetric(f"z^{j} s^{m} p^{b} leads no e-basis monomial")
             coeffs[j, d - b, b] = c
-            comb_m = [c * math.comb(m, l) for l in range(m + 1)]
+            comb_m = [c * x for x in pascal[m]]
             for i in range(max(0, low - b - m), a + 1):
-                ci = math.comb(a, i)
+                ci = pascal[a][i]
                 # the term at z^(i+l+b) is row n - i - l - b, column m - l + b,
                 # kept while i + l + b >= low
                 top, col = n - i - b, m + b

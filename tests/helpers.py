@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import math
 import pkgutil
 
 import nvalue
@@ -20,6 +21,21 @@ def _caches():
             if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__:
                 found[f"{module.__name__}.{name}"] = obj
     return found
+
+
+def half_row_to_sp_reference(row, d):
+    """polyring.half_row_to_sp with one math.comb per binomial: s^(d-2b) p^b
+    puts C(d-2b, i-b) at x^(d-i) y^i."""
+    out = []
+    for i, h in enumerate(row):
+        out.append(h - sum(c * math.comb(d - 2 * b, i - b) for b, c in enumerate(out)))
+    return out
+
+
+def sp_to_half_row_reference(row, d):
+    """polyring.sp_to_half_row with one math.comb per binomial."""
+    return [sum(c * math.comb(d - 2 * b, i - b) for b, c in enumerate(row[:i + 1]))
+            for i in range(len(row))]
 
 
 def random_poly(rng, vars=XYZ, max_terms=8, max_exp=6, max_coeff=10 ** 6):

@@ -64,7 +64,8 @@ class TestPnDigests:
         (64, "e", "2109cc468a1a8bd5910cf0f10a82297cd3c3880d70bf2f5c3dfef4e70eea0bda"),
         (64, "raw", "108eec05e006336c04297c0b111c7f2d181a6e6203e19a6626cb59f3d376db75"),
         (96, "e", "9513e808ca8ce4863e061cad275234ad3d562514162deabc9af24007e7858292"),
-    ], ids=("64-e", "64-raw", "96-e"))
+        (96, "raw", "93028118b964a3ddcf41bebf45320d52b50ef9b3475f24e12e9d2c647d5df504"),
+    ], ids=("64-e", "64-raw", "96-e", "96-raw"))
     def test_json(self, capsys, n, basis, digest):
         code, out = run_cli(capsys, "pn", "--n", str(n), "--basis", basis,
                             "--format", "json")

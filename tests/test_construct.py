@@ -96,29 +96,32 @@ class TestCyclotomic:
 class TestPowerSum:
     # half rows: entries i <= m/2 of P_m, the coefficients of x^(m-i) y^i
     def test_n1_m1(self):
-        assert construct._power_sum_half(1, 1) == [-1]
+        assert construct._power_sum_halves(1, 1) == [[-1]]
 
     def test_n2_m1(self):
-        assert construct._power_sum_half(2, 1) == [2]
+        assert construct._power_sum_halves(2, 1) == [[2]]
 
     def test_n2_m2(self):
         # 2 x^2 + 12 x y + 2 y^2
-        assert construct._power_sum_half(2, 2) == [2, 12]
+        assert construct._power_sum_halves(2, 2) == [[2], [2, 12]]
 
     def test_closed_form(self):
         # P_m = (-1)^(nm) n sum_i C(nm, ni) x^(m-i) y^i; the builder reads i <= m/2
-        for n in range(1, 13):
-            for m in range(1, 13):
+        # and m <= floor(2n/3); m up to 12 also covers m > n, for n < 12
+        for n in range(1, 41):
+            top = max(12, 2 * n // 3)
+            halves = construct._power_sum_halves(n, top)
+            assert len(halves) == top
+            for m, half in enumerate(halves, 1):
                 sign = (-1) ** (n * m)
-                assert construct._power_sum_half(n, m) == [
-                    sign * n * math.comb(n * m, n * i) for i in range(m // 2 + 1)]
+                assert half == [sign * n * math.comb(n * m, n * i)
+                                for i in range(m // 2 + 1)], (n, m)
 
     def test_against_numeric_root_sum(self):
         # sum the m-th powers of the actual complex roots directly
         rng = random.Random(21)
         for n in range(1, 6):
-            for m in range(1, 5):
-                half = construct._power_sum_half(n, m)
+            for m, half in enumerate(construct._power_sum_halves(n, 4), 1):
                 for _ in range(5):
                     xv = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                     yv = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -242,7 +245,8 @@ class TestErrors:
     def test_inexact_division_raises(self, monkeypatch):
         # all-ones power sums give 2 e_2 = x*y, which no integer row solves;
         # n = 3 is the least n whose rows reach e_2
-        monkeypatch.setattr(construct, "_power_sum_half", lambda n, m: [1] * (m // 2 + 1))
+        monkeypatch.setattr(construct, "_power_sum_halves",
+                            lambda n, top: [[1] * (m // 2 + 1) for m in range(1, top + 1)])
         with pytest.raises(NonIntegralCoefficient):
             pn_rows.__wrapped__(3)
 

@@ -7,12 +7,21 @@ import pytest
 from nvalue.polyring import (
     Polynomial,
     VariableMismatch,
+    binomial_diagonals,
     half_row_to_sp,
+    pascal_rows,
     sp_to_half_row,
 )
 from fractions import Fraction
 
-from helpers import XYZ, naive_convolution, random_poly, terms_dict
+from helpers import (
+    XYZ,
+    half_row_to_sp_reference,
+    naive_convolution,
+    random_poly,
+    sp_to_half_row_reference,
+    terms_dict,
+)
 
 
 def P(terms, vars=XYZ):
@@ -155,18 +164,36 @@ class TestBinaryFormRows:
         s = Polynomial.variable("x", XY) + Polynomial.variable("y", XY)
         p = Polynomial.variable("x", XY) * Polynomial.variable("y", XY)
         for d in range(12):
+            diag = binomial_diagonals(d)
             for b in range(d // 2 + 1):
                 f = s ** (d - 2 * b) * p ** b
                 half = [f.coefficient((d - i, i)) for i in range(d // 2 + 1)]
                 unit = [int(j == b) for j in range(d // 2 + 1)]
-                assert sp_to_half_row(unit, d) == half
-                assert half_row_to_sp(half, d) == unit
+                assert sp_to_half_row(unit, d, diag) == half
+                assert half_row_to_sp(half, d, diag) == unit
 
     def test_round_trip(self):
         rng = random.Random(7)
-        for d in range(40):
+        for d in range(65):
             row = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(d // 2 + 1)]
-            assert sp_to_half_row(half_row_to_sp(row, d), d) == row
+            diag = binomial_diagonals(d)
+            assert sp_to_half_row(half_row_to_sp(row, d, diag), d, diag) == row
+
+    def test_tables_against_comb(self):
+        rows, diag = pascal_rows(64), binomial_diagonals(64)
+        assert rows == [[math.comb(m, l) for l in range(m + 1)] for m in range(65)]
+        assert diag == [[math.comb(e + 2 * t, t) for t in range((64 - e) // 2 + 1)]
+                        for e in range(65)]
+
+    def test_against_comb_reference(self):
+        # one table shared by every d <= 64, as the builders share one
+        rng = random.Random(11)
+        diag = binomial_diagonals(64)
+        for d in range(65):
+            for _ in range(3):
+                row = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(d // 2 + 1)]
+                assert half_row_to_sp(row, d, diag) == half_row_to_sp_reference(row, d)
+                assert sp_to_half_row(row, d, diag) == sp_to_half_row_reference(row, d)
 
 
 class TestRingAxioms:
