@@ -190,16 +190,20 @@ def pn_rows(n: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError("n must be >= 1")
     top = 2 * n // 3
     diag = binomial_diagonals(top)
-    psums = [None] + [[-c for c in half_row_to_sp(half, m, diag)]
-                      for m, half in enumerate(_power_sum_halves(n, top), 1)]
+    psums = [[-c for c in half_row_to_sp(half, m, diag)]
+             for m, half in enumerate(_power_sum_halves(n, top), 1)]
     rows = [(1,)]
     for k in range(1, top + 1):
         acc = [0] * (k // 2 + 1)
-        for i in range(1, k + 1):
-            ps = psums[i]
-            for a, ca in enumerate(rows[k - i]):
-                for b, cb in enumerate(ps, a):
-                    acc[b] += ca * cb
+        # row k - i times P_i for i = 1..k: the shorter factor outside, and
+        # a runs along acc from the outer entry's column
+        for short, long in zip(rows[k - 1::-1], psums):
+            if len(short) > len(long):
+                short, long = long, short
+            for a, ca in enumerate(short):
+                for cb in long:
+                    acc[a] += ca * cb
+                    a += 1
         row = []
         for b, c in enumerate(acc):
             q, r = divmod(c, k)

@@ -150,13 +150,18 @@ def decompose_rows(n: int, rows) -> EBasisPolynomial:
                 raise NotSymmetric(f"z^{j} s^{m} p^{b} leads no e-basis monomial")
             coeffs[j, d - b, b] = c
             comb_m = [c * x for x in pascal[m]]
-            for i in range(max(0, low - b - m), a + 1):
-                ci = pascal[a][i]
-                # the term at z^(i+l+b) is row n - i - l - b, column m - l + b,
-                # kept while i + l + b >= low
-                top, col = n - i - b, m + b
-                for l in range(max(0, low - i - b), m + 1):
-                    rows[top - l][col - l] -= ci * comb_m[l]
+            comb_a = pascal[a]
+            # the term at z^(i+l+b) is row n - i - l - b, column m - l + b,
+            # kept while i + l + b >= low, that is from l0 = edge - i on
+            edge = low - b
+            for i in range(edge - m if edge > m else 0, a + 1):
+                ci = comb_a[i]
+                l0 = edge - i if edge > i else 0
+                r, k = n - i - b - l0, m + b - l0
+                for cm in comb_m[l0:]:
+                    rows[r][k] -= ci * cm
+                    r -= 1
+                    k -= 1
     return EBasisPolynomial(n, coeffs)
 
 

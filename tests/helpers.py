@@ -6,8 +6,8 @@ import math
 import pkgutil
 
 import nvalue
-from nvalue import mvgroup
-from nvalue.polyring import Polynomial
+from nvalue import construct, mvgroup, symdecomp
+from nvalue.polyring import Polynomial, binomial_diagonals, half_row_to_sp, pascal_rows
 
 XYZ = ("x", "y", "z")
 
@@ -36,6 +36,59 @@ def sp_to_half_row_reference(row, d):
     """polyring.sp_to_half_row with one math.comb per binomial."""
     return [sum(c * math.comb(d - 2 * b, i - b) for b, c in enumerate(row[:i + 1]))
             for i in range(len(row))]
+
+
+def pn_rows_reference(n):
+    """construct.pn_rows with Newton's identities as an indexed double loop
+    over row k - i and P_i, i = 1..k, uncached."""
+    top = 2 * n // 3
+    diag = binomial_diagonals(top)
+    psums = [None] + [[-c for c in half_row_to_sp(half, m, diag)]
+                      for m, half in enumerate(construct._power_sum_halves(n, top), 1)]
+    rows = [(1,)]
+    for k in range(1, top + 1):
+        acc = [0] * (k // 2 + 1)
+        for i in range(1, k + 1):
+            ps = psums[i]
+            for a, ca in enumerate(rows[k - i]):
+                for b, cb in enumerate(ps, a):
+                    acc[b] += ca * cb
+        row = []
+        for b, c in enumerate(acc):
+            q, r = divmod(c, k)
+            if r:
+                raise construct.NonIntegralCoefficient(
+                    f"z^{n - k} coefficient {c} of s^{k - 2 * b} p^{b} is not divisible by {k}")
+            row.append(q)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def decompose_rows_reference(n, rows):
+    """symdecomp.decompose_rows with every target row and column computed
+    from (i, l) and both loop bounds by max()."""
+    low = (n + 2) // 3
+    rows = [list(row) for row in rows[:n - low + 1]]
+    pascal = pascal_rows(n)
+    coeffs = {}
+    for j in range(n, low - 1, -1):
+        d = n - j
+        for b, c in enumerate(rows[d]):
+            if not c:
+                continue
+            a, m = 2 * j - n + b, d - 2 * b
+            if a < 0:
+                raise symdecomp.NotSymmetric(f"z^{j} s^{m} p^{b} leads no e-basis monomial")
+            coeffs[j, d - b, b] = c
+            comb_m = [c * x for x in pascal[m]]
+            for i in range(max(0, low - b - m), a + 1):
+                ci = pascal[a][i]
+                # the term at z^(i+l+b) is row n - i - l - b, column m - l + b,
+                # kept while i + l + b >= low
+                top, col = n - i - b, m + b
+                for l in range(max(0, low - i - b), m + 1):
+                    rows[top - l][col - l] -= ci * comb_m[l]
+    return symdecomp.EBasisPolynomial(n, coeffs)
 
 
 def random_poly(rng, vars=XYZ, max_terms=8, max_exp=6, max_coeff=10 ** 6):

@@ -73,6 +73,19 @@ class TestPnDigests:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestScanDigests:
+    # SHA-256 of stdout to --max-n 40, as the indexed Newton and peel loops printed it
+    @pytest.mark.parametrize("kind, digest", [
+        ("prime-power", "6f1d8cc1ac1bfe204800f6de1650fed28234cfed93ff09cc20ce589cde2b7bb3"),
+        ("even-nonzero", "dccee482647b973c92f3284d4f712f61ff50422737d24da4979b6c23e3baec64"),
+        ("proposition", "198d6e1156a38f1a82f4d4a3573dac79033eba11b68303cdb357dcde36b133b2"),
+    ], ids=("prime-power", "even-nonzero", "proposition"))
+    def test_json(self, capsys, kind, digest):
+        code, out = run_cli(capsys, "scan", "--kind", kind, "--max-n", "40", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestTablePath:
     """pn --basis e and every scan peel the builder's s, p rows: they
     neither build the full polynomial nor check its symmetry, nor convert

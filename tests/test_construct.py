@@ -18,7 +18,7 @@ from nvalue.construct import (
 from nvalue.polyring import Polynomial
 from nvalue.symdecomp import decompose
 
-from helpers import XYZ
+from helpers import XYZ, pn_rows_reference
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 import checks  # noqa: E402
@@ -169,6 +169,16 @@ class TestDualAlgorithm:
         e1w = 2 * (x + y)
         e2w = (x - y) ** 2
         assert build_pn(2) == z ** 2 - e1w * z + e2w
+
+
+class TestRowsAgainstReference:
+    """Newton's identities walk each product with the shorter factor
+    outside; integer sums are exact, so every row equals the indexed
+    double loop's."""
+
+    @pytest.mark.parametrize("n", [*range(1, 65), pytest.param(96, marks=pytest.mark.slow)])
+    def test_equals_reference(self, n):
+        assert pn_rows(n) == pn_rows_reference(n)
 
 
 class TestDefiningProduct:

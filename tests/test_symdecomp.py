@@ -18,7 +18,7 @@ from nvalue.symdecomp import (
     recompose,
 )
 
-from helpers import XYZ, random_symmetric_homogeneous
+from helpers import XYZ, decompose_rows_reference, random_symmetric_homogeneous
 
 x = Polynomial.variable("x", XYZ)
 y = Polynomial.variable("y", XYZ)
@@ -114,6 +114,22 @@ class TestDecomposeTable:
             decompose_rows(3, rows)
         with pytest.raises(NotSymmetric):
             decompose_rows(3, [[0], [0], [1, 0]])
+
+    @pytest.mark.parametrize("n", [*range(1, 65), pytest.param(96, marks=pytest.mark.slow)])
+    def test_equals_reference(self, n):
+        # the running-index walk against the loop that computes every target
+        assert decompose_rows(n, pn_rows(n)) == decompose_rows_reference(n, pn_rows(n))
+
+    @pytest.mark.parametrize("n, d, b", [
+        (n, d, b) for n in (25, 26, 37, 40)
+        for d in range(n // 2 + 1, 2 * n // 3 + 1) for b in range(2 * d - n)])
+    def test_every_entry_only_the_check_reads_is_read(self, n, d, b):
+        # entry b < 2d - n of row d leads no monomial: the peel zeroes it on
+        # p_n's rows, and only the NotSymmetric check reads it
+        rows = [list(row) for row in pn_rows(n)]
+        rows[d][b] += 1
+        with pytest.raises(NotSymmetric):
+            decompose_rows(n, rows)
 
 
 def _symmetrize_table(f):
