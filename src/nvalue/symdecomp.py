@@ -127,36 +127,51 @@ def decompose_rows(n: int, rows) -> EBasisPolynomial:
     z^(n-d) coefficient has the entries rows[d] at s^(d-2b) p^b,
     s = x + y and p = xy, for d = 0..n - ceil(n/3).
 
+    These rows hold every monomial with its largest exponent on z, and
+    besides those the x^(d-i) y^i z^(n-d) with d - i > n - d and their
+    x, y mirrors.  So they are symmetric exactly when each of the latter
+    equals its x <-> z image, entry i of row n - d + i; else NotSymmetric.
+
     e1^a e2^m e3^g = (s + z)^a (p + zs)^m (zp)^g leads in z with
     z^(a+m+g) s^m p^g.  So row z^j, d = n - j, read after every basis
-    monomial with k1 > j is subtracted, holds at s^(d-2b) p^b the
-    coefficient A at (j, d - b, b), the monomial with m = d - 2b, g = b
-    and a = 2j - n + b; a nonzero entry with a < 0 leads no monomial and
-    raises NotSymmetric.  Subtracting c e1^a e2^m e3^g puts
-    -c C(a, i) C(m, l) at z^(i+l+g) s^(a-i+l) p^(m-l+g); rows below
-    z^ceil(n/3) lead no monomial, as k1 >= n/3, and are never written.
+    monomial with k1 > j is subtracted, holds at s^(d-2b) p^b, b >= 2d - n,
+    the coefficient A at (j, d - b, b): m = d - 2b, g = b, a = 2j - n + b.
+    Subtracting c e1^a e2^m e3^g puts -c C(a, i) C(m, l) at
+    z^(i+l+g) s^(a-i+l) p^(m-l+g), written only where that leads a
+    monomial: l >= j - g - 2i and i + l + g >= n/3, as k1 >= n/3.
     """
     low = (n + 2) // 3
     rows = [list(row) for row in rows[:n - low + 1]]
     pascal = pascal_rows(n)
+    for d in range(n // 2 + 1, n - low + 1):
+        for i in range(2 * d - n):
+            # entry i of row d's half row is the sum over b <= i of rows[d][b] C(d-2b, i-b)
+            e, diff = n - d + i, 0
+            for b in range(i + 1):
+                diff += (rows[d][b] * pascal[d - 2 * b][i - b]
+                         - rows[e][b] * pascal[e - 2 * b][i - b])
+            if diff:
+                raise NotSymmetric(f"x^{d - i} y^{i} z^{n - d} differs from its x <-> z image")
     coeffs = {}
     for j in range(n, low - 1, -1):
         d = n - j
-        for b, c in enumerate(rows[d]):
+        row = rows[d]
+        for b in range(2 * d - n if 2 * d > n else 0, len(row)):
+            c = row[b]
             if not c:
                 continue
             a, m = 2 * j - n + b, d - 2 * b
-            if a < 0:
-                raise NotSymmetric(f"z^{j} s^{m} p^{b} leads no e-basis monomial")
             coeffs[j, d - b, b] = c
             comb_m = [c * x for x in pascal[m]]
             comb_a = pascal[a]
-            # the term at z^(i+l+b) is row n - i - l - b, column m - l + b,
-            # kept while i + l + b >= low, that is from l0 = edge - i on
-            edge = low - b
-            for i in range(edge - m if edge > m else 0, a + 1):
+            # the term at z^(i+l+b) is row n - i - l - b, column m - l + b; it
+            # leads a monomial from l = lead - 2i on, and is kept from l = edge - i
+            lead, edge = j - b, low - b
+            for i in range((a + 1) // 2, a + 1):
                 ci = comb_a[i]
-                l0 = edge - i if edge > i else 0
+                l0 = lead - 2 * i if lead - i > edge else edge - i
+                if l0 < 0:
+                    l0 = 0
                 r, k = n - i - b - l0, m + b - l0
                 for cm in comb_m[l0:]:
                     rows[r][k] -= ci * cm

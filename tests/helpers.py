@@ -65,8 +65,10 @@ def pn_rows_reference(n):
 
 
 def decompose_rows_reference(n, rows):
-    """symdecomp.decompose_rows with every target row and column computed
-    from (i, l) and both loop bounds by max()."""
+    """The oracle of symdecomp.decompose_rows: it peels every entry, the
+    ones that lead no e-basis monomial too, and checks symmetry by raising
+    NotSymmetric where such an entry is left nonzero; every target row and
+    column is computed from (i, l) and both loop bounds by max()."""
     low = (n + 2) // 3
     rows = [list(row) for row in rows[:n - low + 1]]
     pascal = pascal_rows(n)

@@ -115,17 +115,38 @@ class TestDecomposeTable:
         with pytest.raises(NotSymmetric):
             decompose_rows(3, [[0], [0], [1, 0]])
 
-    @pytest.mark.parametrize("n", [*range(1, 65), pytest.param(96, marks=pytest.mark.slow)])
+    @pytest.mark.parametrize("n", [*range(1, 65),
+                                   *(pytest.param(n, marks=pytest.mark.slow) for n in (96, 128))])
     def test_equals_reference(self, n):
-        # the running-index walk against the loop that computes every target
+        # the running-index walk over leading entries against the loop that
+        # peels every entry and computes every target
         assert decompose_rows(n, pn_rows(n)) == decompose_rows_reference(n, pn_rows(n))
+
+    @pytest.mark.parametrize("n", [*range(1, 31),
+                                   *(pytest.param(n, marks=pytest.mark.slow) for n in (37, 40))])
+    def test_direct_check_against_the_peeled_one(self, n):
+        # every single-entry perturbation of p_n's rows: decompose_rows raises
+        # NotSymmetric exactly when the reference's peel does, else agrees
+        base = pn_rows(n)
+        for d, row in enumerate(base):
+            for b in range(len(row)):
+                for delta in (1, -3, 2 ** 100):
+                    rows = [list(r) for r in base]
+                    rows[d][b] += delta
+                    try:
+                        expected = decompose_rows_reference(n, rows)
+                    except NotSymmetric:
+                        with pytest.raises(NotSymmetric):
+                            decompose_rows(n, rows)
+                    else:
+                        assert decompose_rows(n, rows) == expected, (d, b, delta)
 
     @pytest.mark.parametrize("n, d, b", [
         (n, d, b) for n in (25, 26, 37, 40)
         for d in range(n // 2 + 1, 2 * n // 3 + 1) for b in range(2 * d - n)])
     def test_every_entry_only_the_check_reads_is_read(self, n, d, b):
-        # entry b < 2d - n of row d leads no monomial: the peel zeroes it on
-        # p_n's rows, and only the NotSymmetric check reads it
+        # entry b < 2d - n of row d leads no monomial: the peel never writes
+        # it, and the direct symmetry check reads it
         rows = [list(row) for row in pn_rows(n)]
         rows[d][b] += 1
         with pytest.raises(NotSymmetric):
