@@ -39,7 +39,7 @@ import math
 from functools import lru_cache
 from itertools import permutations
 
-from .polyring import Polynomial, binomial_diagonals, half_row_to_sp, sp_to_half_row
+from .polyring import Polynomial, half_row_to_sp, pascal_rows, sp_to_half_row
 
 _UVZ = ("u", "v", "z")
 _XYZ = ("x", "y", "z")
@@ -189,8 +189,8 @@ def pn_rows(n: int) -> tuple[tuple[int, ...], ...]:
     if n < 1:
         raise ValueError("n must be >= 1")
     top = 2 * n // 3
-    diag = binomial_diagonals(top)
-    psums = [[-c for c in half_row_to_sp(half, m, diag)]
+    pascal = pascal_rows(top)
+    psums = [[-c for c in half_row_to_sp(half, m, pascal)]
              for m, half in enumerate(_power_sum_halves(n, top), 1)]
     rows = [(1,)]
     for k in range(1, top + 1):
@@ -223,11 +223,11 @@ def build_pn(n: int) -> Polynomial:
     coefficients of x^(d-i) y^i, i <= d/2; p_n is symmetric in (x, y, z),
     so every permutation of the partition has it.
     """
-    terms = {}
-    diag = binomial_diagonals(2 * n // 3)
-    for d, row in enumerate(pn_rows(n)):
+    terms, rows = {}, pn_rows(n)
+    pascal = pascal_rows(len(rows) - 1)
+    for d, row in enumerate(rows):
         # entry k3 <= d/2 of a half row has k3 <= k2, and k3 >= 2d - n gives k2 <= k1
-        for k3, c in enumerate(sp_to_half_row(row, d, diag)):
+        for k3, c in enumerate(sp_to_half_row(row, d, pascal)):
             if c and k3 >= 2 * d - n:
                 for e in permutations((n - d, d - k3, k3)):
                     terms[e] = c

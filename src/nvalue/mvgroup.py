@@ -35,7 +35,8 @@ class RootFindingFailure(ArithmeticError):
 
 
 def nth_root(x: complex, n: int) -> complex:
-    """Principal n-th root: argument of the result in (-pi/n, pi/n]."""
+    """Principal n-th root, of argument cmath.phase(x) / n in [-pi/n, pi/n]:
+    -pi/n for a negative real x whose imaginary part is -0.0."""
     x = complex(x)
     if x == 0:
         return 0j

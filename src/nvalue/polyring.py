@@ -1,18 +1,17 @@
-"""Exact sparse multivariate polynomial arithmetic.
+"""Exact sparse multivariate polynomial arithmetic, and the binary-form
+helpers pascal_rows, half_row_to_sp and sp_to_half_row.
 
-Polynomials are stored as a mapping from exponent tuples to nonzero
-integer coefficients (Python ints, arbitrary precision) over a declared,
-ordered variable list.
-
-The canonical term order is lexicographic descending on the exponent
-tuple.  It fixes serialization and printing.
+Polynomials map exponent tuples to nonzero integer coefficients (Python
+ints, arbitrary precision) over a declared, ordered variable list.  The
+canonical term order, lexicographic descending on the exponent tuple,
+fixes serialization and printing.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from operator import add as _iadd, mul as _mul
+from operator import add as _iadd
 
 
 class VariableMismatch(ValueError):
@@ -55,11 +54,9 @@ def format_terms(names, terms, sep: str = "*", fmt=str) -> str:
 
 
 # A symmetric binary form of degree d is fixed by its half row, the
-# coefficients of x^(d-i) y^i for i <= d/2, or by the same number of
-# coefficients at s^(d-2b) p^b, s = x + y and p = xy.  s^(d-2b) p^b puts
-# C(d-2b, i-b) at x^(d-i) y^i, so the change of basis is integer and
-# unitriangular and keeps exactness both ways.  Both changes read C(d-2b, i-b)
-# as diag[d-2i][i-b] of a table diag = binomial_diagonals(top), top >= d.
+# coefficients of x^(d-i) y^i for i <= d/2, or by as many at s^(d-2b) p^b,
+# s = x + y and p = xy.  s^(d-2b) p^b puts C(d-2b, k) at x^(d-b-k) y^(b+k): both
+# ways scatter entry b over pascal[d-2b], pascal = pascal_rows(top), top >= d.
 
 def pascal_rows(top: int) -> list[list[int]]:
     """rows[m][l] = C(m, l) for m <= top, built by addition."""
@@ -69,23 +66,25 @@ def pascal_rows(top: int) -> list[list[int]]:
     return rows
 
 
-def binomial_diagonals(top: int) -> list[list[int]]:
-    """diag[e][t] = C(e + 2t, t) for e + 2t <= top."""
-    rows = pascal_rows(top)
-    return [list(map(list.__getitem__, rows[e::2], range(top + 1))) for e in range(top + 1)]
-
-
-def half_row_to_sp(row, d: int, diag) -> list[int]:
+def half_row_to_sp(row, d: int, pascal) -> list[int]:
     """Coefficients at s^(d-2b) p^b of the form with half row ``row``."""
-    out = []
-    for i, h in enumerate(row):
-        out.append(h - sum(map(_mul, out, diag[d - 2 * i][i:0:-1])))
+    out = list(row)
+    # unitriangular: entry i is final once every entry before it is scattered
+    for i, c in enumerate(out):
+        for x in pascal[d - 2 * i][1:len(out) - i]:
+            i += 1
+            out[i] -= c * x
     return out
 
 
-def sp_to_half_row(row, d: int, diag) -> list[int]:
+def sp_to_half_row(row, d: int, pascal) -> list[int]:
     """Half row of the form with coefficients ``row`` at s^(d-2b) p^b."""
-    return [sum(map(_mul, row, diag[d - 2 * i][i::-1])) for i in range(len(row))]
+    out = [0] * len(row)
+    for i, c in enumerate(row):
+        for x in pascal[d - 2 * i][:len(row) - i]:
+            out[i] += c * x
+            i += 1
+    return out
 
 
 class Polynomial:

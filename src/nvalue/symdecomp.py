@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .polyring import Polynomial, binomial_diagonals, format_terms, half_row_to_sp, pascal_rows
+from .polyring import Polynomial, format_terms, half_row_to_sp, pascal_rows
 
 
 class NotSymmetric(ValueError):
@@ -115,10 +115,10 @@ def decompose(f: Polynomial) -> EBasisPolynomial:
     if not f.is_symmetric():
         raise NotSymmetric("polynomial is not symmetric in its variables")
     n = n or 0
-    diag = binomial_diagonals(n - (n + 2) // 3)
+    pascal = pascal_rows(n - (n + 2) // 3)
     # row d is the z^(n-d) coefficient; its half row is the x^(d-i) y^i, i <= d/2
     return decompose_rows(n, [half_row_to_sp([f._terms.get((d - i, i, n - d), 0)
-                                              for i in range(d // 2 + 1)], d, diag)
+                                              for i in range(d // 2 + 1)], d, pascal)
                               for d in range(n - (n + 2) // 3 + 1)])
 
 

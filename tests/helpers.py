@@ -7,7 +7,7 @@ import pkgutil
 
 import nvalue
 from nvalue import construct, mvgroup, symdecomp
-from nvalue.polyring import Polynomial, binomial_diagonals, half_row_to_sp, pascal_rows
+from nvalue.polyring import Polynomial, half_row_to_sp, pascal_rows
 
 XYZ = ("x", "y", "z")
 
@@ -42,8 +42,8 @@ def pn_rows_reference(n):
     """construct.pn_rows with Newton's identities as an indexed double loop
     over row k - i and P_i, i = 1..k, uncached."""
     top = 2 * n // 3
-    diag = binomial_diagonals(top)
-    psums = [None] + [[-c for c in half_row_to_sp(half, m, diag)]
+    pascal = pascal_rows(top)
+    psums = [None] + [[-c for c in half_row_to_sp(half, m, pascal)]
                       for m, half in enumerate(construct._power_sum_halves(n, top), 1)]
     rows = [(1,)]
     for k in range(1, top + 1):

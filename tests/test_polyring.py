@@ -7,7 +7,6 @@ import pytest
 from nvalue.polyring import (
     Polynomial,
     VariableMismatch,
-    binomial_diagonals,
     half_row_to_sp,
     pascal_rows,
     sp_to_half_row,
@@ -164,36 +163,37 @@ class TestBinaryFormRows:
         s = Polynomial.variable("x", XY) + Polynomial.variable("y", XY)
         p = Polynomial.variable("x", XY) * Polynomial.variable("y", XY)
         for d in range(12):
-            diag = binomial_diagonals(d)
+            pascal = pascal_rows(d)
             for b in range(d // 2 + 1):
                 f = s ** (d - 2 * b) * p ** b
                 half = [f.coefficient((d - i, i)) for i in range(d // 2 + 1)]
                 unit = [int(j == b) for j in range(d // 2 + 1)]
-                assert sp_to_half_row(unit, d, diag) == half
-                assert half_row_to_sp(half, d, diag) == unit
+                assert sp_to_half_row(unit, d, pascal) == half
+                assert half_row_to_sp(half, d, pascal) == unit
 
     def test_round_trip(self):
         rng = random.Random(7)
         for d in range(65):
             row = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(d // 2 + 1)]
-            diag = binomial_diagonals(d)
-            assert sp_to_half_row(half_row_to_sp(row, d, diag), d, diag) == row
+            pascal = pascal_rows(d)
+            assert sp_to_half_row(half_row_to_sp(row, d, pascal), d, pascal) == row
 
     def test_tables_against_comb(self):
-        rows, diag = pascal_rows(64), binomial_diagonals(64)
-        assert rows == [[math.comb(m, l) for l in range(m + 1)] for m in range(65)]
-        assert diag == [[math.comb(e + 2 * t, t) for t in range((64 - e) // 2 + 1)]
-                        for e in range(65)]
+        assert pascal_rows(64) == [[math.comb(m, l) for l in range(m + 1)] for m in range(65)]
 
     def test_against_comb_reference(self):
-        # one table shared by every d <= 64, as the builders share one
+        # dense and sparse rows, with one table shared by every d <= 64, as
+        # the builders share one, and with the smallest table for each d
         rng = random.Random(11)
-        diag = binomial_diagonals(64)
+        shared = pascal_rows(64)
         for d in range(65):
-            for _ in range(3):
-                row = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(d // 2 + 1)]
-                assert half_row_to_sp(row, d, diag) == half_row_to_sp_reference(row, d)
-                assert sp_to_half_row(row, d, diag) == sp_to_half_row_reference(row, d)
+            for pascal in (shared, pascal_rows(d)):
+                for density in (1, 0.2):
+                    for _ in range(3):
+                        row = [rng.randint(-10 ** 30, 10 ** 30) if rng.random() < density else 0
+                               for _ in range(d // 2 + 1)]
+                        assert half_row_to_sp(row, d, pascal) == half_row_to_sp_reference(row, d)
+                        assert sp_to_half_row(row, d, pascal) == sp_to_half_row_reference(row, d)
 
 
 class TestRingAxioms:

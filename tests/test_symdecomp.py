@@ -5,7 +5,7 @@ import random
 import pytest
 
 from nvalue.construct import build_pn, pn_rows
-from nvalue.polyring import Polynomial, binomial_diagonals, half_row_to_sp
+from nvalue.polyring import Polynomial, half_row_to_sp, pascal_rows
 from nvalue.symdecomp import (
     EBasisPolynomial,
     InvalidPartition,
@@ -108,7 +108,7 @@ class TestDecomposeTable:
     def test_entry_that_leads_no_monomial_raises(self):
         # z (x^2 + y^2) is symmetric in x, y only: its z^1 row, s^2 - 2p,
         # would lead e1^-1 e2^2
-        rows = [[0], [0], half_row_to_sp([1, 0], 2, binomial_diagonals(2))]
+        rows = [[0], [0], half_row_to_sp([1, 0], 2, pascal_rows(2))]
         assert rows[2] == [1, -2]
         with pytest.raises(NotSymmetric):
             decompose_rows(3, rows)
