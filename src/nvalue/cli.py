@@ -7,14 +7,15 @@ Subcommands:
             proposition)
     axioms  seeded numeric sweeps of the group axioms
 
-Exit codes: 0 all checks pass, 1 a check failed (potential
-counterexample), 2 usage error.
+Exit codes: 0 all checks pass, 1 a check failed (a potential
+counterexample; for prime-power, a fault of the pipeline), 2 usage error.
 Data goes to stdout (or --output), diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import json
 import math
@@ -120,20 +121,13 @@ def cmd_scan(args) -> int:
 
 # -- axioms -----------------------------------------------------------------------
 
-def _sample_disk(rng: random.Random) -> complex:
-    r = math.sqrt(rng.random())
-    theta = 2 * math.pi * rng.random()
-    return complex(r * math.cos(theta), r * math.sin(theta))
-
-
 def cmd_axioms(args) -> int:
     n, samples, tol = args.n, args.samples, args.tol
     rng = random.Random(args.seed)
     unit = inverse = assoc = roots = 0
     for _ in range(samples):
-        x = _sample_disk(rng)
-        y = _sample_disk(rng)
-        z = _sample_disk(rng)
+        x, y, z = (cmath.rect(math.sqrt(rng.random()), 2 * math.pi * rng.random())
+                   for _ in range(3))
         if mvgroup.eq_multiset(mvgroup.mul_n(0, x, n), [x] * n, tol):
             unit += 1
         if mvgroup.contains_zero(mvgroup.mul_n(mvgroup.inv(x, n), x, n), tol):

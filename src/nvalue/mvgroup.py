@@ -161,10 +161,12 @@ def check_associativity(x: complex, y: complex, z: complex, n: int, tol: float) 
     (a + eps^(u+1) b)^n is eps^m_u (a + eps^(u+1) b), so left[s n + t]
     equals (q_u + eps^(j+1) c)^n for u = t + k_s and j = s + i_u (mod n),
     i_u = u + 1 + m_u, and right[s n + t] is built as that value.  The
-    products are mul_n's, bit for bit, for every input.  A zero r_s or q_u
-    takes label 0, since its row, (a + eps^t 0)^n or (0 + eps^t c)^n, is
-    one value n times.  A value of y*z or x*y that is not finite makes the
-    verdict False, as eq_multiset's would be.
+    products are mul_n's, bit for bit, for every input.  Each label is a
+    phase difference in steps of 2 pi / n, k_s that of r_s and
+    b + eps^(s+1) c, m_u that of q_u and a + eps^(u+1) b.  A zero r_s or
+    q_u has phase 0; its row, (a + eps^t 0)^n or (0 + eps^t c)^n, is one
+    value n times, so any label pairs it alike.  A value of y*z or x*y
+    that is not finite makes the verdict False, as eq_multiset's would be.
     """
     yz, xy = mul_n(y, z, n), mul_n(x, y, n)
     if not all(map(cmath.isfinite, yz + xy)):
@@ -173,8 +175,8 @@ def check_associativity(x: complex, y: complex, z: complex, n: int, tol: float) 
     unity, turn = _unity(n), n / (2 * math.pi)    # turn: a label's steps per radian
     rs, qs = ([nth_root(v, n) for v in vs] for vs in (yz, xy))
     left = [(a + w * r) ** n for r in rs for w in unity]
-    ks = [round(cmath.phase(r / (b + w * c)) * turn) % n if r else 0 for r, w in zip(rs, unity)]
-    starts = [((round(cmath.phase(q / (a + w * b)) * turn) if q else 0) + u + 1) % n
+    ks = [round((cmath.phase(r) - cmath.phase(b + w * c)) * turn) % n for r, w in zip(rs, unity)]
+    starts = [(round((cmath.phase(q) - cmath.phase(a + w * b)) * turn) + u + 1) % n
               for u, (q, w) in enumerate(zip(qs, unity))]
     # doubled, so that s + i_u and t + k_s need no modulo
     wc, cycle = [w * c for w in unity] * 2, list(range(n)) * 2

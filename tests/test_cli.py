@@ -172,20 +172,44 @@ class TestScanCommand:
         overall = "exploratory" if kind == "factors" else "pass"
         assert all(r["overall"] == overall for r in reports)
 
-    def test_proposition_flags_a_wrong_coefficient(self, capsys, monkeypatch):
-        # A_{4,2,0} of p_6 off by one is a counterexample to the Proposition
+    @staticmethod
+    def _corrupt(monkeypatch, n, edit):
+        # the scans read p_n's table with edit applied to its coefficients
         real = conjectures.decompose_rows
 
-        def decompose_rows(n, rows):
-            g = real(n, rows)
-            return EBasisPolynomial(6, {**g.coeffs, (4, 2, 0): 49}) if n == 6 else g
+        def decompose_rows(m, rows):
+            g = real(m, rows)
+            return EBasisPolynomial(n, edit(dict(g.coeffs))) if m == n else g
 
         monkeypatch.setattr(conjectures, "decompose_rows", decompose_rows)
+
+    def test_proposition_flags_a_wrong_coefficient(self, capsys, monkeypatch):
+        # A_{4,2,0} of p_6 off by one is a counterexample to the Proposition
+        self._corrupt(monkeypatch, 6, lambda coeffs: {**coeffs, (4, 2, 0): 49})
         code, out = run_cli(capsys, "scan", "--kind", "proposition", "--max-n", "8")
         assert code == 1
         assert "proposition n=6: fail (2/3 checks)\n" \
                "  FLAG (4,2,0) A=49: closed form gives 48: potential counterexample\n" in out
         assert "proposition n=8: pass (4/4 checks)\n" in out
+
+    def test_prime_power_flags_a_fault_of_the_pipeline(self, capsys, monkeypatch):
+        # an odd A_{3,1,0} of p_4 breaks a theorem, so the pipeline is at fault
+        self._corrupt(monkeypatch, 4, lambda coeffs: {**coeffs, (3, 1, 0): -7})
+        code, out = run_cli(capsys, "scan", "--kind", "prime-power", "--max-n", "8")
+        assert code == 1
+        assert "prime-power n=4: fail (2/3 checks)\n" \
+               "  FLAG (3,1,0) A=-7: NOT divisible by 2: " \
+               "a fault of the pipeline, not a counterexample\n" in out
+        assert "prime-power n=8: pass (" in out
+
+    def test_even_nonzero_flags_a_vanishing_coefficient(self, capsys, monkeypatch):
+        self._corrupt(monkeypatch, 6, lambda coeffs: {k: a for k, a in coeffs.items()
+                                                      if k != (3, 3, 0)})
+        code, out = run_cli(capsys, "scan", "--kind", "even-nonzero", "--max-n", "8")
+        assert code == 1
+        assert "even-nonzero n=6: fail (6/7 checks)\n" \
+               "  FLAG (3,3,0) A=0: vanishing coefficient: potential counterexample\n" in out
+        assert "even-nonzero n=8: pass (" in out
 
     def test_streams_each_report_before_the_next_n(self, tmp_path, monkeypatch):
         target = tmp_path / "scan.txt"
@@ -299,10 +323,13 @@ class TestUsageErrors:
             main([])
         assert err.value.code == 2
 
-    def test_bad_n(self):
+    @pytest.mark.parametrize("n, message", (("0", "must be >= 1, got 0"),
+                                            ("abc", "not an integer: 'abc'")), ids=("0", "abc"))
+    def test_bad_n(self, capsys, n, message):
         with pytest.raises(SystemExit) as err:
-            main(["pn", "--n", "0"])
+            main(["pn", "--n", n])
         assert err.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_bad_choice(self):
         with pytest.raises(SystemExit) as err:

@@ -274,6 +274,8 @@ class TestStr:
     def test_rendering(self):
         f = P({(2, 0, 0): 1, (1, 1, 0): -2, (0, 0, 0): 5})
         assert str(f) == "x^2 - 2*x*y + 5"
+        assert str(-x) == "-x"
+        assert str(P({(0, 0, 0): -3})) == "-3"
 
     def test_zero(self):
         assert str(Polynomial(XYZ)) == "0"

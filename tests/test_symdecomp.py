@@ -19,24 +19,11 @@ from nvalue.symdecomp import (
 )
 
 from helpers import XYZ, decompose_rows_reference, random_symmetric_homogeneous
+from test_acceptance import GOLDEN_TABLES
 
 x = Polynomial.variable("x", XYZ)
 y = Polynomial.variable("y", XYZ)
 z = Polynomial.variable("z", XYZ)
-
-# e-basis expansions of p_1..p_7, keyed by partition (k1, k2, k3)
-GOLDEN = {
-    1: {(1, 0, 0): 1},
-    2: {(2, 0, 0): 1, (1, 1, 0): -2 ** 2},
-    3: {(3, 0, 0): 1, (1, 1, 1): -3 ** 3},
-    4: {(4, 0, 0): 1, (3, 1, 0): -2 ** 3, (2, 2, 0): 2 ** 4, (2, 1, 1): -2 ** 7},
-    5: {(5, 0, 0): 1, (3, 1, 1): -5 ** 4, (2, 2, 1): 5 ** 5},
-    6: {(6, 0, 0): 1, (5, 1, 0): -2 ** 2 * 3, (4, 2, 0): 2 ** 4 * 3,
-        (3, 3, 0): -2 ** 6, (4, 1, 1): -2 * 3 ** 4 * 17,
-        (3, 2, 1): -2 ** 3 * 3 ** 4 * 19, (2, 2, 2): 3 ** 3 * 19 ** 3},
-    7: {(7, 0, 0): 1, (5, 1, 1): -5 * 7 ** 4, (4, 2, 1): 2 * 7 ** 6,
-        (3, 3, 1): -7 ** 7, (3, 2, 2): 7 ** 8},
-}
 
 
 def _last_layer_table(rng, n):
@@ -50,9 +37,9 @@ def _last_layer_table(rng, n):
 
 
 class TestGoldenTables:
-    @pytest.mark.parametrize("n", sorted(GOLDEN))
+    @pytest.mark.parametrize("n", sorted(GOLDEN_TABLES))
     def test_table(self, n):
-        assert decompose(build_pn(n)).coeffs == GOLDEN[n]
+        assert decompose(build_pn(n)).coeffs == GOLDEN_TABLES[n]
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_leading_coefficient_is_one(self, n):
@@ -288,3 +275,4 @@ class TestStr:
     def test_plain_rendering_follows_table_order(self):
         g = decompose(build_pn(4))
         assert str(g) == "e1^4 - 8 e1^2 e2 + 16 e2^2 - 128 e1 e3"
+        assert str(EBasisPolynomial(2, {(1, 1, 0): -4})) == "-4 e2"
