@@ -5,12 +5,16 @@ Polynomials map exponent tuples to nonzero integer coefficients (Python
 ints, arbitrary precision) over a declared, ordered variable list.  The
 canonical term order, lexicographic descending on the exponent tuple,
 fixes serialization and printing.
+
+pascal_rows reads Pascal's triangle from one table per process, whose
+immutable rows every reader of the exact layer shares.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from functools import lru_cache
 from operator import add as _iadd
 
 
@@ -58,12 +62,19 @@ def format_terms(names, terms, sep: str = "*", fmt=str) -> str:
 # s = x + y and p = xy.  s^(d-2b) p^b puts C(d-2b, k) at x^(d-b-k) y^(b+k): both
 # ways scatter entry b over pascal[d-2b], pascal = pascal_rows(top), top >= d.
 
-def pascal_rows(top: int) -> list[list[int]]:
-    """rows[m][l] = C(m, l) for m <= top, built by addition."""
-    rows = [[1]]
-    for _ in range(top):
-        rows.append([1, *map(_iadd, rows[-1], rows[-1][1:]), 1])
-    return rows
+@lru_cache(maxsize=None)
+def _pascal_row(m: int) -> tuple[int, ...]:
+    # row m by addition from row m - 1; pascal_rows asks in ascending order,
+    # so row m - 1 is cached and no call recurses more than one level deep
+    if not m:
+        return (1,)
+    prev = _pascal_row(m - 1)
+    return (1, *map(_iadd, prev, prev[1:]), 1)
+
+
+def pascal_rows(top: int) -> list[tuple[int, ...]]:
+    """rows[m][l] = C(m, l) for m <= top, each row built once per process."""
+    return [_pascal_row(m) for m in range(top + 1)]
 
 
 def half_row_to_sp(row, d: int, pascal) -> list[int]:

@@ -4,10 +4,16 @@ import importlib
 import itertools
 import math
 import pkgutil
+import random
+import sys
+from pathlib import Path
 
 import nvalue
 from nvalue import construct, mvgroup, symdecomp
 from nvalue.polyring import Polynomial, half_row_to_sp, pascal_rows
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+from checks import is_prime  # noqa: E402
 
 XYZ = ("x", "y", "z")
 
@@ -91,6 +97,61 @@ def decompose_rows_reference(n, rows):
                 for l in range(max(0, low - i - b), m + 1):
                     rows[top - l][col - l] -= ci * comb_m[l]
     return symdecomp.EBasisPolynomial(n, coeffs)
+
+
+# -- the defining product mod q ---------------------------------------------------
+
+MOD_Q_SEED = 1729
+
+
+def mod_q_field(n):
+    """(q, eps): q the least prime = 1 (mod n) above 2^60, and eps an element
+    of order exactly n in GF(q), eps = g^((q-1)/n) for the least g that gives one."""
+    q = -(-2 ** 60 // n) * n + 1
+    while not is_prime(q):
+        q += n
+    primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+    for g in itertools.count(2):
+        eps = pow(g, (q - 1) // n, q)
+        if all(pow(eps, n // r, q) != 1 for r in primes):
+            return q, eps
+
+
+def mod_q_product(n, u, v, z, q, eps):
+    """prod_{k=1..n} (z - (u + eps^k v)^n) mod q."""
+    out, w = 1, 1
+    for _ in range(n):
+        w = w * eps % q
+        out = out * (z - pow(u + w * v, n, q)) % q
+    return out
+
+
+def mod_q_mismatches(n, coeffs, e_basis=False):
+    """The three seeded points (u, v, z) of GF(q)^3 at which p_n, given by its
+    coefficients, differs from the defining product: with sigma = (-1)^n,
+    p_n(sigma u^n, sigma v^n, z) = prod_{k=1..n} (z - (u + eps^k v)^n) mod q.
+
+    ``coeffs`` maps (i, j, k) to the coefficient of x^i y^j z^k, or, with
+    ``e_basis``, a partition (k1, k2, k3) to that of e1^(k1-k2) e2^(k2-k3) e3^k3.
+    A wrong p_n of degree n makes both sides differ by a nonzero polynomial
+    of degree at most n^2 in u, v, z, so by Schwartz-Zippel each point
+    misses it with probability at most n^2/q."""
+    q, eps = mod_q_field(n)
+    sign = -1 if n % 2 else 1
+    if e_basis:
+        coeffs = {(k1 - k2, k2 - k3, k3): c for (k1, k2, k3), c in coeffs.items()}
+    rng = random.Random(f"{MOD_Q_SEED}/{n}")
+    bad = []
+    for _ in range(3):
+        u, v, z = (rng.randrange(q) for _ in range(3))
+        x, y = sign * pow(u, n, q), sign * pow(v, n, q)
+        point = (x + y + z, x * y + y * z + z * x, x * y * z) if e_basis else (x, y, z)
+        powers = [[pow(t, i, q) for i in range(n + 1)] for t in point]
+        got = sum(c * powers[0][i] * powers[1][j] * powers[2][k]
+                  for (i, j, k), c in coeffs.items())
+        if (got - mod_q_product(n, u, v, z, q, eps)) % q:
+            bad.append((u, v, z))
+    return bad
 
 
 def random_poly(rng, vars=XYZ, max_terms=8, max_exp=6, max_coeff=10 ** 6):

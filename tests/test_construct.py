@@ -16,9 +16,17 @@ from nvalue.construct import (
     pn_rows,
 )
 from nvalue.polyring import Polynomial
-from nvalue.symdecomp import decompose
+from nvalue.symdecomp import decompose, decompose_rows
 
-from helpers import XYZ, pn_rows_reference
+from helpers import (
+    MOD_Q_SEED,
+    XYZ,
+    is_prime,
+    mod_q_field,
+    mod_q_mismatches,
+    mod_q_product,
+    pn_rows_reference,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 import checks  # noqa: E402
@@ -200,6 +208,51 @@ class TestDefiningProduct:
             assert sum(c * xv ** i * yv ** j * zv ** k
                        for (i, j, k), c in p.sorted_terms()) == want
             assert checks.table_value(table, xv, yv, zv) == want
+
+
+class TestModularProduct:
+    """build_pn(n) and its e-table, decompose_rows(n, pn_rows(n)), against
+    the defining product mod q (tests/helpers.py, mod_q_mismatches) at three
+    points drawn from random.Random(f"{MOD_Q_SEED}/{n}"), MOD_Q_SEED = 1729.
+    q is the least prime = 1 (mod n) above 2^60: 2^60 + 33 at n = 1 and
+    2^60 + 3393 at n = 64.  By Schwartz-Zippel a wrong p_n passes each point
+    with probability at most n^2/q, below 2^-46 up to n = 128."""
+
+    def test_field(self):
+        assert MOD_Q_SEED == 1729
+        assert mod_q_field(1)[0] == 2 ** 60 + 33
+        assert mod_q_field(64)[0] == 2 ** 60 + 3393
+        for n in (1, 2, 6, 7, 64, 96, 128):
+            q, eps = mod_q_field(n)
+            assert is_prime(q) and (q - 1) % n == 0 and q > 2 ** 60
+            assert not any(is_prime(r) for r in range(q - n, 2 ** 60, -n))
+            orders = [k for k in range(1, n + 1) if pow(eps, k, q) == 1]
+            assert orders[0] == n
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_product_agrees_with_circulant(self, n):
+        q, eps = mod_q_field(n)
+        for a, b, zv in checks.sample_points(random.Random(n), 3):
+            assert mod_q_product(n, a, b, zv, q, eps) == checks.defining_product(n, a, b, zv) % q
+
+    @pytest.mark.parametrize("n", [*range(1, 65),
+                                   *(pytest.param(n, marks=pytest.mark.slow) for n in (96, 128))])
+    def test_raw_and_table(self, n):
+        assert mod_q_mismatches(n, dict(build_pn(n).sorted_terms())) == []
+        assert mod_q_mismatches(n, decompose_rows(n, pn_rows(n)).coeffs, e_basis=True) == []
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_one_added_to_any_coefficient_fails(self, n):
+        # every monomial of degree n, and every partition of n, zero ones too
+        raw = dict(build_pn(n).sorted_terms())
+        monomials = [(i, j, n - i - j) for i in range(n + 1) for j in range(n + 1 - i)]
+        table = decompose_rows(n, pn_rows(n)).coeffs
+        for coeffs, keys, e_basis in ((raw, monomials, False),
+                                      (table, checks.partitions3(n), True)):
+            for key in keys:
+                wrong = dict(coeffs)
+                wrong[key] = wrong.get(key, 0) + 1
+                assert mod_q_mismatches(n, wrong, e_basis), (e_basis, key)
 
 
 class TestStructure:

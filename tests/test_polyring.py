@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from nvalue import polyring
 from nvalue.polyring import (
     Polynomial,
     VariableMismatch,
@@ -179,7 +180,29 @@ class TestBinaryFormRows:
             assert sp_to_half_row(half_row_to_sp(row, d, pascal), d, pascal) == row
 
     def test_tables_against_comb(self):
-        assert pascal_rows(64) == [[math.comb(m, l) for l in range(m + 1)] for m in range(65)]
+        assert pascal_rows(64) == [tuple(math.comb(m, l) for l in range(m + 1))
+                                   for m in range(65)]
+
+    def test_rows_are_shared_tuples(self):
+        first, again = pascal_rows(20), pascal_rows(30)
+        assert (len(first), len(again)) == (21, 31)
+        assert all(type(row) is tuple for row in again)
+        assert all(a is b for a, b in zip(first, again))
+
+    def test_deep_table_from_cold_cache(self):
+        # rows past the default recursion limit of 1000, from an empty cache:
+        # asked for in ascending order, no row recurses more than one level
+        polyring._pascal_row.cache_clear()
+        try:
+            rows = pascal_rows(1500)
+            assert len(rows) == 1501
+            rng = random.Random(5)
+            for m in [0, 1, 999, 1000, 1001, 1500] + [rng.randint(0, 1500) for _ in range(40)]:
+                for l in {0, m // 2, rng.randint(0, m), m}:
+                    assert rows[m][l] == math.comb(m, l)
+        finally:
+            # the table holds about 150 MB of binomials; tests rebuild what they read
+            polyring._pascal_row.cache_clear()
 
     def test_against_comb_reference(self):
         # dense and sparse rows, with one table shared by every d <= 64, as
